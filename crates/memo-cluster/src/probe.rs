@@ -41,6 +41,7 @@ fn exchange(addr: &str, timeout: Duration) -> io::Result<Health> {
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing"))?;
     let mut stream = TcpStream::connect_timeout(&target, timeout)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.write_all(

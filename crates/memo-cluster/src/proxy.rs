@@ -84,6 +84,7 @@ impl NodeProxy {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing"))?;
         let stream = TcpStream::connect_timeout(&target, self.connect_timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
         Ok(stream)
@@ -170,13 +171,11 @@ mod tests {
                         }
                     }
                     seen.push(first.clone());
-                    let body = first.into_bytes();
                     let resp = format!(
-                        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-                        body.len()
+                        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{first}",
+                        first.len()
                     );
                     stream.write_all(resp.as_bytes()).unwrap();
-                    stream.write_all(&body).unwrap();
                 }
                 // Close the connection (per_conn exhausted).
             }
@@ -203,6 +202,21 @@ mod tests {
         // One connection served both requests: the pool reused it.
         let seen = server.join().unwrap();
         assert_eq!(seen.len(), 2);
+    }
+
+    #[test]
+    fn proxy_sockets_disable_nagle() {
+        let (addr, server) = stub_server(1, 1);
+        let p = proxy(&addr);
+        let mut scratch = Vec::new();
+        assert_eq!(p.get("/healthz", &mut scratch).unwrap().status, 200);
+        {
+            let idle = p.idle.lock().unwrap();
+            assert_eq!(idle.len(), 1, "the dialed socket was pooled");
+            assert!(idle[0].nodelay().unwrap(), "pooled proxy sockets set TCP_NODELAY");
+        }
+        drop(p);
+        server.join().unwrap();
     }
 
     #[test]

@@ -33,6 +33,7 @@ use memo_serve::http::{parse_request, ClientResponse, Request, Response, MAX_BOD
 use memo_serve::pool::WorkerPool;
 use memo_serve::queue::{Bounded, PushError};
 use memo_serve::routes;
+use memo_serve::server::keep_open;
 
 use crate::metrics::RouterMetrics;
 use crate::probe;
@@ -282,6 +283,7 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 let configured = stream.set_nonblocking(false).is_ok()
+                    && stream.set_nodelay(true).is_ok()
                     && stream.set_read_timeout(Some(read_timeout)).is_ok()
                     && stream.set_write_timeout(Some(write_timeout)).is_ok();
                 if !configured {
@@ -318,7 +320,7 @@ fn handle_connection(
                     buf.drain(..consumed);
                     state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                     let response = respond(state, &req, queue.len(), &mut scratch);
-                    let keep_alive = req.keep_alive && !state.draining();
+                    let keep_alive = keep_open(&req, state.draining(), queue.len());
                     let head_only = req.method == "HEAD";
                     if response.write_to(&mut stream, keep_alive, head_only).is_err() {
                         return;
@@ -410,8 +412,12 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
 
     let mut last_shed: Option<ClientResponse> = None;
     let mut attempted = 0u32;
+    // What went wrong at each owner, in walk order: the 502 names it.
+    let mut causes: Vec<String> = Vec::new();
     for &node in &owners {
+        let name = &state.topology.nodes()[node].name;
         if !state.breakers[node].allow() {
+            causes.push(format!("{name} cooling down"));
             continue;
         }
         attempted += 1;
@@ -445,9 +451,10 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
                 }
                 last_shed = Some(resp);
             }
-            Err(_) => {
+            Err(err) => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
                 state.breakers[node].record_failure();
+                causes.push(format!("{name} {err} after {:.1?}", started.elapsed()));
             }
         }
     }
@@ -464,7 +471,7 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
             .with_header("x-memo-ring-gen", snap.generation.to_string());
     }
     state.metrics.bad_gateway.fetch_add(1, Ordering::Relaxed);
-    Response::text(502, "every replica failed\n")
+    Response::text(502, format!("every replica failed: {}\n", causes.join("; ")))
         .with_header("retry-after", "1")
         .with_header("x-memo-ring-gen", snap.generation.to_string())
 }
@@ -700,6 +707,33 @@ mod tests {
         router.wait();
         b0.shutdown();
         b0.wait();
+    }
+
+    #[test]
+    fn bad_gateway_names_each_owner_failure() {
+        // A node that passes health probes but hangs up on every other
+        // request without answering.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let node = Node { name: "n0".to_string(), addr: listener.local_addr().unwrap().to_string() };
+        let stub = thread::spawn(move || {
+            for mut conn in listener.incoming().flatten() {
+                let mut buf = [0u8; 1024];
+                let n = conn.read(&mut buf).unwrap_or(0);
+                if !buf[..n].starts_with(b"GET /healthz ") {
+                    return; // the routed request: hang up unanswered
+                }
+                let _ = conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\nok\n");
+            }
+        });
+        let router = router_over(vec![node]);
+
+        let (status, _, body) = get(router.addr(), "/v1/table/2");
+        assert_eq!(status, 502);
+        let body = String::from_utf8(body).unwrap();
+        assert!(body.starts_with("every replica failed: n0 eof in headers after "), "{body}");
+        router.shutdown();
+        router.wait();
+        stub.join().unwrap();
     }
 
     #[test]

@@ -120,8 +120,10 @@ fn killing_a_node_mid_load_costs_nothing_a_client_can_see() {
     assert_eq!(
         report.errors, 0,
         "killing one node must cost zero non-degraded failures \
-         (transport={}, other_5xx={})",
-        report.transport_errors, report.other_5xx
+         (transport={}, other_5xx={}{})",
+        report.transport_errors,
+        report.other_5xx_total(),
+        report.other_5xx_causes()
     );
     let cluster = report.cluster.as_ref().expect("cluster mode report");
     assert!(cluster.failovers >= 1, "the kill must surface as failovers");

@@ -103,10 +103,11 @@ fn main() {
     }
     // Server-side failures (unexpected 5xx) outrank transport ones:
     // exit 1 points at the server, exit 3 at the path to it.
-    if report.other_5xx > 0 {
+    if report.other_5xx_total() > 0 {
         eprintln!(
-            "memo-load: {} request(s) got a non-backpressure 5xx response",
-            report.other_5xx
+            "memo-load: {} request(s) got a non-backpressure 5xx response:{}",
+            report.other_5xx_total(),
+            report.other_5xx_causes()
         );
         std::process::exit(1);
     }

@@ -300,29 +300,35 @@ impl Response {
     /// Serialize onto `w`. `head_only` omits the body (HEAD requests)
     /// while keeping the true `Content-Length`.
     ///
+    /// Head and body go out in a single `write_all`: two writes put a
+    /// small second segment behind Nagle's algorithm, which holds it
+    /// until the peer's delayed ACK for the first — about 40 ms per
+    /// response on every hop.
+    ///
     /// # Errors
     ///
     /// Propagates the underlying write error.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool, head_only: bool) -> io::Result<()> {
-        let mut head = format!(
+        let body: &[u8] = if head_only { &[] } else { &self.body };
+        let mut wire = Vec::with_capacity(256 + body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            wire.extend_from_slice(name.as_bytes());
+            wire.extend_from_slice(b": ");
+            wire.extend_from_slice(value.as_bytes());
+            wire.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        if !head_only {
-            w.write_all(&self.body)?;
-        }
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(body);
+        w.write_all(&wire)?;
         w.flush()
     }
 
@@ -647,5 +653,44 @@ mod tests {
         assert!(text.contains("content-length: 3\r\n"), "HEAD keeps true length");
         assert!(text.ends_with("\r\n\r\n"), "HEAD omits the body");
         assert!(text.contains("connection: close\r\n"));
+    }
+
+    /// Records every `write_all` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_all(buf)?;
+            Ok(buf.len())
+        }
+
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.calls.push(buf.to_vec());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write_with_unchanged_bytes() {
+        let resp = Response::text(200, "body\n").with_header("x-memo-cache", "hit");
+        let head = "HTTP/1.1 200 OK\r\ncontent-type: text/plain; charset=utf-8\r\n\
+                    content-length: 5\r\nconnection: keep-alive\r\nx-memo-cache: hit\r\n\r\n";
+
+        let mut get = CountingWriter::default();
+        resp.write_to(&mut get, true, false).unwrap();
+        assert_eq!(get.calls.len(), 1, "GET: head and body in one write_all");
+        assert_eq!(get.calls[0], format!("{head}body\n").into_bytes());
+
+        let mut head_only = CountingWriter::default();
+        resp.write_to(&mut head_only, true, true).unwrap();
+        assert_eq!(head_only.calls.len(), 1, "HEAD: one write_all");
+        assert_eq!(head_only.calls[0], head.as_bytes(), "HEAD keeps the length, drops the body");
     }
 }

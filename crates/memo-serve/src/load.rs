@@ -9,7 +9,7 @@
 //! the summary is written as `BENCH_serve.json` next to the bench
 //! artifacts the repo already produces.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -169,8 +169,26 @@ struct Observed {
     ring_gen: Option<u64>,
     /// `Retry-After` seconds, present on shed 503s.
     retry_after: Option<u64>,
+    /// First line of the body of a response that counts as an error:
+    /// the server's stated cause. Empty for every other response.
+    cause: String,
     keep_alive: bool,
 }
+
+/// Whether `status` counts as an error: anything but 2xx, 4xx and the
+/// deliberate 503 shed.
+fn is_other_5xx(status: u16) -> bool {
+    !matches!(status, 200..=299 | 400..=499 | 503)
+}
+
+/// The first line of `body`, trimmed and capped at [`CAUSE_CHARS`].
+fn first_line(body: &[u8]) -> String {
+    let text = String::from_utf8_lossy(body);
+    text.lines().next().unwrap_or("").trim().chars().take(CAUSE_CHARS).collect()
+}
+
+/// Longest body line kept as a failure's cause.
+const CAUSE_CHARS: usize = 240;
 
 /// Read exactly one response off `stream` and distill it.
 fn observe_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> io::Result<Observed> {
@@ -184,6 +202,7 @@ fn observe_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> io::Result
         ring_gen: resp.header("x-memo-ring-gen").and_then(|v| v.parse().ok()),
         retry_after: resp.header("retry-after").and_then(|v| v.trim().parse().ok()),
         keep_alive: resp.keep_alive(),
+        cause: if is_other_5xx(resp.status) { first_line(&resp.body) } else { String::new() },
     })
 }
 
@@ -230,7 +249,8 @@ struct Tally {
     status_2xx: AtomicU64,
     status_4xx: AtomicU64,
     backpressure_503: AtomicU64,
-    other_5xx: AtomicU64,
+    /// Non-backpressure 5xx responses, per status code.
+    other_5xx: Mutex<BTreeMap<u16, StatusFailures>>,
     cache_hits: AtomicU64,
     cache_disk_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -260,8 +280,9 @@ pub struct LoadReport {
     pub status_4xx: u64,
     /// 503s (shed load — expected under pressure, not an error).
     pub backpressure_503: u64,
-    /// Other 5xx responses (these count as errors).
-    pub other_5xx: u64,
+    /// 5xx responses other than 503, one entry per status code in
+    /// ascending order (these count as errors).
+    pub other_5xx: Vec<StatusFailures>,
     /// Responses tagged `x-memo-cache: hit` (in-memory warm).
     pub cache_hits: u64,
     /// Responses tagged `x-memo-cache: disk` (persistent-store warm).
@@ -288,6 +309,45 @@ pub struct LoadReport {
     pub disk: LatencySummary,
     /// Latency of everything else (healthz/metrics/errors).
     pub uncached: LatencySummary,
+}
+
+/// Every response of one non-backpressure 5xx status in a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StatusFailures {
+    /// The status code.
+    pub status: u16,
+    /// Responses that carried it.
+    pub count: u64,
+    /// First line of the first such response's body: the server's own
+    /// account of the cause (`every replica failed`, …).
+    pub first_line: String,
+}
+
+impl StatusFailures {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"status\": {}, \"count\": {}, \"first_line\": \"{}\"}}",
+            self.status,
+            self.count,
+            json_escape(&self.first_line)
+        )
+    }
+}
+
+/// Escape `s` for a JSON string literal.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// One backend node's slice of a cluster-mode run, attributed via the
@@ -378,7 +438,8 @@ impl LoadReport {
         let _ = writeln!(out, "  \"status_2xx\": {},", self.status_2xx);
         let _ = writeln!(out, "  \"status_4xx\": {},", self.status_4xx);
         let _ = writeln!(out, "  \"backpressure_503\": {},", self.backpressure_503);
-        let _ = writeln!(out, "  \"other_5xx\": {},", self.other_5xx);
+        let other: Vec<String> = self.other_5xx.iter().map(StatusFailures::to_json).collect();
+        let _ = writeln!(out, "  \"other_5xx\": [{}],", other.join(", "));
         let _ = writeln!(out, "  \"cache_hits\": {},", self.cache_hits);
         let _ = writeln!(out, "  \"cache_disk_hits\": {},", self.cache_disk_hits);
         let _ = writeln!(out, "  \"cache_misses\": {},", self.cache_misses);
@@ -416,12 +477,33 @@ impl LoadReport {
         out
     }
 
+    /// Non-backpressure 5xx responses over every status code.
+    #[must_use]
+    pub fn other_5xx_total(&self) -> u64 {
+        self.other_5xx.iter().map(|f| f.count).sum()
+    }
+
+    /// ` [502 x2 "every replica failed", …]`, or nothing when no
+    /// response counted as a 5xx error.
+    #[must_use]
+    pub fn other_5xx_causes(&self) -> String {
+        if self.other_5xx.is_empty() {
+            return String::new();
+        }
+        let each: Vec<String> = self
+            .other_5xx
+            .iter()
+            .map(|f| format!("{} x{} {:?}", f.status, f.count, f.first_line))
+            .collect();
+        format!(" [{}]", each.join(", "))
+    }
+
     /// One-paragraph human summary for stdout.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut line = format!(
             "{} requests in {:.1}s ({:.0} rps), {} errors ({} transport); \
-             2xx={} 4xx={} shed-503={} other-5xx={}; \
+             2xx={} 4xx={} shed-503={} other-5xx={}{}; \
              cache hits={} disk={} misses={}; \
              cold p50/p99 = {}/{} us, cached p50/p99 = {}/{} us, disk p50/p99 = {}/{} us",
             self.requests,
@@ -432,7 +514,8 @@ impl LoadReport {
             self.status_2xx,
             self.status_4xx,
             self.backpressure_503,
-            self.other_5xx,
+            self.other_5xx_total(),
+            self.other_5xx_causes(),
             self.cache_hits,
             self.cache_disk_hits,
             self.cache_misses,
@@ -574,8 +657,18 @@ pub fn run(config: &LoadConfig) -> LoadReport {
                                 200..=299 => tally.status_2xx.fetch_add(1, Ordering::Relaxed),
                                 400..=499 => tally.status_4xx.fetch_add(1, Ordering::Relaxed),
                                 503 => tally.backpressure_503.fetch_add(1, Ordering::Relaxed),
-                                _ => {
-                                    tally.other_5xx.fetch_add(1, Ordering::Relaxed);
+                                status => {
+                                    tally
+                                        .other_5xx
+                                        .lock()
+                                        .expect("5xx tally poisoned by a panicked lane")
+                                        .entry(status)
+                                        .or_insert_with(|| StatusFailures {
+                                            status,
+                                            count: 0,
+                                            first_line: resp.cause.clone(),
+                                        })
+                                        .count += 1;
                                     tally.errors.fetch_add(1, Ordering::Relaxed)
                                 }
                             };
@@ -668,6 +761,13 @@ pub fn run(config: &LoadConfig) -> LoadReport {
             read_repairs,
         }
     });
+    let other_5xx = tally
+        .other_5xx
+        .lock()
+        .expect("5xx tally poisoned by a panicked lane")
+        .values()
+        .cloned()
+        .collect();
     LoadReport {
         requests,
         errors: tally.errors.load(Ordering::Relaxed),
@@ -675,7 +775,7 @@ pub fn run(config: &LoadConfig) -> LoadReport {
         status_2xx: tally.status_2xx.load(Ordering::Relaxed),
         status_4xx: tally.status_4xx.load(Ordering::Relaxed),
         backpressure_503: tally.backpressure_503.load(Ordering::Relaxed),
-        other_5xx: tally.other_5xx.load(Ordering::Relaxed),
+        other_5xx,
         cache_hits: tally.cache_hits.load(Ordering::Relaxed),
         cache_disk_hits: tally.cache_disk_hits.load(Ordering::Relaxed),
         cache_misses: tally.cache_misses.load(Ordering::Relaxed),
@@ -774,12 +874,16 @@ mod tests {
     fn report_json_is_structurally_sound() {
         let report = LoadReport {
             requests: 10,
-            errors: 0,
+            errors: 2,
             transport_errors: 0,
             status_2xx: 10,
             status_4xx: 0,
             backpressure_503: 0,
-            other_5xx: 0,
+            other_5xx: vec![StatusFailures {
+                status: 502,
+                count: 2,
+                first_line: "every \"replica\" failed".to_string(),
+            }],
             cache_hits: 3,
             cache_disk_hits: 1,
             cache_misses: 6,
@@ -802,11 +906,22 @@ mod tests {
         assert!(json.contains("\"cache_disk_hits\": 1"));
         assert!(json.contains("\"disk\": {\"count\": 1"));
         assert!(json.contains("\"p99_us\": 300"));
+        assert!(
+            json.contains(
+                "\"other_5xx\": [{\"status\": 502, \"count\": 2, \"first_line\": \"every \\\"replica\\\" failed\"}]"
+            ),
+            "{json}"
+        );
         assert!(!json.contains("\"cluster\""), "no cluster block outside cluster mode");
         // Balanced braces — cheap structural sanity without a parser.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(report.summary().contains("10 requests"));
         assert!(report.summary().contains("disk=1"));
+        assert!(
+            report.summary().contains(r#"other-5xx=2 [502 x2 "every \"replica\" failed"]"#),
+            "{}",
+            report.summary()
+        );
     }
 
     #[test]
@@ -818,7 +933,7 @@ mod tests {
             status_2xx: 4,
             status_4xx: 0,
             backpressure_503: 0,
-            other_5xx: 0,
+            other_5xx: Vec::new(),
             cache_hits: 4,
             cache_disk_hits: 0,
             cache_misses: 0,
@@ -861,6 +976,8 @@ mod tests {
         let s = report.summary();
         assert!(s.contains("n1=3"), "{s}");
         assert!(s.contains("failovers=2"), "{s}");
+        assert!(s.contains("other-5xx=0;"), "{s}");
+        assert!(json.contains("\"other_5xx\": [],"), "{json}");
     }
 
     #[test]

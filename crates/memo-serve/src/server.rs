@@ -19,7 +19,7 @@ use memo_experiments::cache::TierBreaker;
 use memo_experiments::{env, store, ExpConfig};
 use memo_store::Store;
 
-use crate::http::{parse_request, Response, MAX_HEADER_BYTES, MAX_BODY};
+use crate::http::{parse_request, Request, Response, MAX_HEADER_BYTES, MAX_BODY};
 use crate::metrics::{CacheOutcome, Endpoint};
 use crate::pool::WorkerPool;
 use crate::queue::{Bounded, PushError};
@@ -215,9 +215,11 @@ fn accept_loop(
                 state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 // The listener is nonblocking; the accepted stream must
                 // not be, or reads would spin instead of blocking with a
-                // timeout.
+                // timeout. No Nagle: a response is one write, and holding
+                // it for an ACK only adds the peer's delayed-ACK wait.
                 let configured = stream.set_nonblocking(false).is_ok()
-                    && stream.set_read_timeout(Some(read_timeout)).is_ok()
+                    && stream.set_nodelay(true).is_ok()
+                    && stream.set_read_timeout(Some(read_timeout.min(QUIET_POLL))).is_ok()
                     && stream.set_write_timeout(Some(write_timeout)).is_ok();
                 if !configured {
                     continue; // peer is gone; nothing to shed
@@ -238,12 +240,35 @@ fn accept_loop(
     }
 }
 
-/// Serve one connection until close, drain, timeout, or protocol error.
+/// Whether a connection stays open after answering `req`: the client
+/// asked for keep-alive, the server is not draining, and no other
+/// connection is waiting for a worker. A worker serves one connection
+/// until it closes, so an idle keep-alive peer would otherwise hold it
+/// while queued connections age — health probes among them. Queue depth
+/// is already known here, so yielding needs no setting.
+#[must_use]
+pub fn keep_open(req: &Request, draining: bool, queued: usize) -> bool {
+    req.keep_alive && !draining && queued == 0
+}
+
+/// How long a worker's read waits on a quiet connection before it looks
+/// at the queue and the drain flag again. Bytes wake the read at once;
+/// this bounds how long a queued connection waits behind an idle one.
+const QUIET_POLL: Duration = Duration::from_millis(10);
+
+/// Serve one connection until close, drain, timeout, yield, or protocol
+/// error.
 ///
 /// `accepted` is when the accept loop queued the connection: one that
 /// sat in the queue past the request deadline is shed with 503 before
 /// any bytes are read — a stalled disk must not turn the queue into an
 /// unbounded latency amplifier.
+///
+/// A keep-alive connection that stays quiet between requests for a
+/// [`QUIET_POLL`] while another connection is queued is closed, so an
+/// idle peer cannot hold a worker that a waiting one could use. Closing
+/// an idle persistent connection is the server's right in HTTP/1.1;
+/// the router's proxy re-dials a pooled socket that was closed this way.
 fn handle_connection(
     state: &AppState,
     queue: &Bounded<(TcpStream, Instant)>,
@@ -261,9 +286,9 @@ fn handle_connection(
     }
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
-    // An idle keep-alive connection may not outlive the read timeout by
-    // much even across multiple short reads.
-    let idle_deadline = Instant::now() + read_timeout.max(Duration::from_millis(1)) * 2;
+    // When reading began, a byte last arrived or a response last went
+    // out: the read timeout counts from here, across quiet polls.
+    let mut quiet_since = Instant::now();
 
     loop {
         // Serve every complete pipelined request already buffered.
@@ -273,7 +298,7 @@ fn handle_connection(
                     buf.drain(..consumed);
                     let start = Instant::now();
                     let routed = routes::handle(state, &req, queue.len());
-                    let keep_alive = req.keep_alive && !state.draining();
+                    let keep_alive = keep_open(&req, state.draining(), queue.len());
                     let head_only = req.method == "HEAD";
                     let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                     state.metrics.observe(routed.endpoint, routed.response.status, routed.cache, micros);
@@ -283,6 +308,7 @@ fn handle_connection(
                     if !keep_alive {
                         return;
                     }
+                    quiet_since = Instant::now();
                 }
                 Ok(None) => break, // need more bytes
                 Err(err) => {
@@ -303,10 +329,19 @@ fn handle_connection(
 
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                quiet_since = Instant::now();
+            }
             Err(ref e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                if quiet_since.elapsed() < read_timeout {
+                    if buf.is_empty() && !queue.is_empty() {
+                        return; // idle, and another connection waits
+                    }
+                    continue;
+                }
                 state.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
                 if !buf.is_empty() {
                     // Mid-request stall: tell the peer before hanging up.
@@ -316,9 +351,6 @@ fn handle_connection(
                 return;
             }
             Err(_) => return,
-        }
-        if Instant::now() > idle_deadline && buf.is_empty() {
-            return;
         }
     }
 }
@@ -397,6 +429,76 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
         assert!(resp.contains("retry-after: 1"), "{resp}");
         assert!(handle.state().metrics.deadline_exceeded.load(Ordering::Relaxed) >= 1);
+        handle.shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn keep_alive_connection_yields_its_worker_to_a_queued_one() {
+        let mut cfg = test_config();
+        cfg.workers = 1;
+        cfg.read_timeout = Duration::from_secs(5);
+        let handle = start(&cfg).unwrap();
+        let mut scratch = Vec::new();
+        let ask = |s: &mut TcpStream, scratch: &mut Vec<u8>| {
+            s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            crate::http::read_response(s, scratch).unwrap()
+        };
+
+        // A holds the only worker; with nothing queued it stays open.
+        let mut a = TcpStream::connect(handle.addr()).unwrap();
+        let first = ask(&mut a, &mut scratch);
+        assert_eq!(first.status, 200);
+        assert!(first.keep_alive(), "nothing queued: A stays open");
+        // Half of A's next request: A is mid-request, not idle, so the
+        // worker keeps reading it rather than closing it for B.
+        a.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+
+        // B is accepted and, with the worker still on A, queued.
+        let mut b = TcpStream::connect(handle.addr()).unwrap();
+        let metrics = &handle.state().metrics;
+        while metrics.connections_accepted.load(Ordering::SeqCst) < 2 || handle.queue_depth() == 0 {
+            thread::yield_now();
+        }
+
+        a.write_all(b"\r\n").unwrap();
+        let second = crate::http::read_response(&mut a, &mut scratch).unwrap();
+        assert_eq!(second.status, 200);
+        assert_eq!(second.header("connection"), Some("close"), "A yields to the queued B");
+        let mut rest = Vec::new();
+        assert_eq!(a.read_to_end(&mut rest).unwrap(), 0, "A is closed after yielding");
+
+        let served = ask(&mut b, &mut scratch);
+        assert_eq!(served.status, 200, "B is served once A let go");
+        assert!(served.keep_alive(), "B has nobody queued behind it");
+        drop(b);
+        handle.shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn idle_keep_alive_connection_is_closed_for_a_queued_one() {
+        let mut cfg = test_config();
+        cfg.workers = 1;
+        cfg.read_timeout = Duration::from_secs(5);
+        let handle = start(&cfg).unwrap();
+        let mut scratch = Vec::new();
+        let ask = |s: &mut TcpStream, scratch: &mut Vec<u8>| {
+            s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            crate::http::read_response(s, scratch).unwrap()
+        };
+
+        let mut a = TcpStream::connect(handle.addr()).unwrap();
+        assert!(ask(&mut a, &mut scratch).keep_alive());
+        // A now sits idle on the only worker. B is served without A
+        // sending anything more or waiting out the read timeout.
+        let mut b = TcpStream::connect(handle.addr()).unwrap();
+        let served = ask(&mut b, &mut scratch);
+        assert_eq!(served.status, 200, "B is served while A idles");
+        assert_eq!(handle.state().metrics.timeouts.load(Ordering::SeqCst), 0, "A did not time out");
+        let mut rest = Vec::new();
+        assert_eq!(a.read_to_end(&mut rest).unwrap(), 0, "A was closed, unanswered");
+        drop(b);
         handle.shutdown();
         handle.wait();
     }
