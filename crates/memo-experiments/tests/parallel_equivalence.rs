@@ -32,6 +32,9 @@ fn render_everything(cfg: ExpConfig) -> String {
             cell.faults_injected
         ));
     }
+    // The whole study, so the shared task pool is covered too: the
+    // speedups, the breaker line and the transparency count.
+    out.push_str(&fault_tolerance::render(cfg).unwrap());
     out
 }
 

@@ -104,6 +104,10 @@ pub struct MemoTable {
     stats: MemoStats,
     rng: u64,
     injector: Option<FaultInjector>,
+    /// Set by the first tag strike, cleared by [`Memoizer::reset`]: a
+    /// stored tag may differ from its checked reference, so probes must
+    /// keep scrubbing even after the injector is detached or swapped.
+    tags_dirty: bool,
 }
 
 impl MemoTable {
@@ -117,6 +121,7 @@ impl MemoTable {
             stats: MemoStats::new(),
             rng: 0x9E37_79B9_7F4A_7C15,
             injector: None,
+            tags_dirty: false,
         }
     }
 
@@ -287,6 +292,7 @@ impl MemoTable {
         let entry = self.slots[victim].as_mut().expect("victim slot is valid");
         entry.key.tag ^= 1u128 << bit;
         self.stats.faults_injected += 1;
+        self.tags_dirty = true;
     }
 
     /// Read a matched entry through the fault process and the protection
@@ -400,8 +406,15 @@ impl MemoTable {
     /// Tag encoding and set hashing happen exactly once per operand order
     /// (in the callers) — not once for the existence check and again for
     /// the lookup, and not a third time for the insert after a miss.
+    ///
+    /// Tag maintenance runs only when it can change something: while the
+    /// injector may strike a tag, or once a strike has left a tag that
+    /// differs from its reference. Until then every stored tag is clean,
+    /// the scrub finds nothing and the strike draws nothing.
     fn probe_keyed(&mut self, op: &Op, key: Key, set: usize) -> Option<Value> {
-        if self.injector.is_some() || self.cfg.protection() != Protection::None {
+        let strikes_tags =
+            self.injector.as_ref().is_some_and(|i| i.config().tag_flip_rate > 0.0);
+        if strikes_tags || self.tags_dirty {
             self.scrub_and_strike_tags(set);
         }
         let slot = self.lookup_in_set(set, key)?;
@@ -796,6 +809,7 @@ impl Memoizer for MemoTable {
         self.clock = 0;
         self.stats = MemoStats::new();
         self.rng = 0x9E37_79B9_7F4A_7C15;
+        self.tags_dirty = false;
         // Restart the error process from its seed so a reset table replays
         // deterministically.
         self.injector = self.injector.as_ref().map(|i| FaultInjector::new(i.config()));
@@ -1197,6 +1211,44 @@ mod tests {
         let e = t.execute(op);
         assert_eq!(e.outcome, Outcome::Hit, "scrubbed entry is reachable again");
         assert!(t.stats().faults_corrected > 0);
+    }
+
+    #[test]
+    fn corrupted_tags_are_scrubbed_after_the_injector_is_detached() {
+        use crate::fault::{FaultConfig, FaultInjector, Protection};
+        let op = Op::FpDiv(9.0, 7.0);
+        for protection in [Protection::ParityDetect, Protection::EccSecDed] {
+            let cfg = MemoConfig::builder(32).protection(protection).build().unwrap();
+            let inj =
+                FaultInjector::new(FaultConfig::disabled().with_seed(11).with_tag_rate(1.0));
+            let mut t = MemoTable::new(cfg).with_fault_injector(inj);
+            t.execute(op); // insert
+            // The probe strikes the only entry's tag; `probe` does not
+            // re-insert, so the set holds just the corrupted entry.
+            assert_eq!(t.probe(op), Probe::Miss);
+            assert_eq!(t.stats().faults_injected, 1);
+            assert!(t.tags_dirty);
+
+            // No injector left that could strike a tag: the scrub must
+            // still run on the next probe of the set.
+            t.set_fault_injector(None);
+            let probe = t.probe(op);
+            let s = t.stats();
+            match protection {
+                Protection::ParityDetect => {
+                    assert_eq!(probe, Probe::Miss);
+                    assert_eq!(s.faults_detected, 1, "parity must invalidate the entry");
+                    assert!(t.is_empty());
+                }
+                _ => {
+                    assert_eq!(probe, Probe::Hit(op.compute()), "ecc repairs the tag");
+                    assert_eq!(s.faults_corrected, 1);
+                }
+            }
+
+            t.reset();
+            assert!(!t.tags_dirty, "reset leaves no tag to scrub");
+        }
     }
 
     #[test]
