@@ -158,8 +158,10 @@ impl OpTrace {
     /// [`replay_scalar`](Self::replay_scalar); only the interleaving
     /// *between* independent tables changes. Partial warps left at the end
     /// of the trace flush in [`OpKind::ALL`] order. Long runs still stream
-    /// zero-copy: whole-width tiles are sliced straight from the operand
-    /// columns and only run tails touch the gather buffers.
+    /// zero-copy: while no warp of their kind is pending, whole-width tiles
+    /// are sliced straight from the operand columns. Every other lane is
+    /// copied into its warp one at a time, which for the one- and two-lane
+    /// runs of interleaved kernels is cheaper than a slice copy per run.
     pub fn replay_batched(&self, bank: &mut MemoBank, width: usize) {
         let width = width.clamp(1, MAX_BATCH_WIDTH);
         let mut pend_a = [[0u64; MAX_BATCH_WIDTH]; 4];
@@ -174,35 +176,26 @@ impl OpTrace {
             let unary = kind == OpKind::FpSqrt;
             let (ra, rb) = (run.a(), run.b());
             let n = run.len();
-            let mut start = 0usize;
-
-            // Top up a pending warp before streaming whole tiles.
-            if fill[k] > 0 {
-                let take = (width - fill[k]).min(n);
-                pend_a[k][fill[k]..fill[k] + take].copy_from_slice(&ra[..take]);
+            let mut i = 0usize;
+            while i < n {
+                // Whole tiles of a long run stream zero-copy while no warp
+                // of this kind is pending.
+                if fill[k] == 0 && n - i >= width {
+                    bank.execute_batch(&run.slice(i, width));
+                    i += width;
+                    continue;
+                }
+                pend_a[k][fill[k]] = ra[i];
                 if !unary {
-                    pend_b[k][fill[k]..fill[k] + take].copy_from_slice(&rb[..take]);
+                    pend_b[k][fill[k]] = rb[i];
                 }
-                fill[k] += take;
-                start = take;
-                if fill[k] < width {
-                    continue; // run exhausted; warp still filling
+                fill[k] += 1;
+                i += 1;
+                if fill[k] == width {
+                    let b = if unary { &[][..] } else { &pend_b[k][..width] };
+                    bank.execute_batch(&OpBatch::new(kind, &pend_a[k][..width], b));
+                    fill[k] = 0;
                 }
-                let b = if unary { &[][..] } else { &pend_b[k][..width] };
-                bank.execute_batch(&OpBatch::new(kind, &pend_a[k][..width], b));
-                fill[k] = 0;
-            }
-            while n - start >= width {
-                bank.execute_batch(&run.slice(start, width));
-                start += width;
-            }
-            let rem = n - start;
-            if rem > 0 {
-                pend_a[k][..rem].copy_from_slice(&ra[start..]);
-                if !unary {
-                    pend_b[k][..rem].copy_from_slice(&rb[start..]);
-                }
-                fill[k] = rem;
             }
         }
         for kind in OpKind::ALL {
@@ -281,8 +274,8 @@ impl OpTrace {
     /// may be shorter). Runs of other kinds are skipped by the run index
     /// without decoding their operands; lanes of `kind` are gathered
     /// *across* run boundaries in recorded order, so short interleaved
-    /// runs still fill whole warps. Long runs stream zero-copy; only run
-    /// tails are staged through the gather buffer.
+    /// runs still fill whole warps. Long runs stream zero-copy while no warp
+    /// is pending; every other lane is staged through the gather buffer.
     pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
         let width = width.clamp(1, MAX_BATCH_WIDTH);
         let unary = kind == OpKind::FpSqrt;
@@ -297,34 +290,24 @@ impl OpTrace {
             }
             let (ra, rb) = (run.a(), run.b());
             let n = run.len();
-            let mut start = 0usize;
-
-            if fill > 0 {
-                let take = (width - fill).min(n);
-                buf_a[fill..fill + take].copy_from_slice(&ra[..take]);
-                if !unary {
-                    buf_b[fill..fill + take].copy_from_slice(&rb[..take]);
-                }
-                fill += take;
-                start = take;
-                if fill < width {
+            let mut i = 0usize;
+            while i < n {
+                if fill == 0 && n - i >= width {
+                    f(&run.slice(i, width));
+                    i += width;
                     continue;
                 }
-                let b = if unary { &[][..] } else { &buf_b[..width] };
-                f(&OpBatch::new(kind, &buf_a[..width], b));
-                fill = 0;
-            }
-            while n - start >= width {
-                f(&run.slice(start, width));
-                start += width;
-            }
-            let rem = n - start;
-            if rem > 0 {
-                buf_a[..rem].copy_from_slice(&ra[start..]);
+                buf_a[fill] = ra[i];
                 if !unary {
-                    buf_b[..rem].copy_from_slice(&rb[start..]);
+                    buf_b[fill] = rb[i];
                 }
-                fill = rem;
+                fill += 1;
+                i += 1;
+                if fill == width {
+                    let b = if unary { &[][..] } else { &buf_b[..width] };
+                    f(&OpBatch::new(kind, &buf_a[..width], b));
+                    fill = 0;
+                }
             }
         }
         if fill > 0 {

@@ -230,6 +230,7 @@ impl FaultInjector {
 
     /// Draw the value-flip process for one matched probe: `Some(mask)` with
     /// one or two bits set when a strike occurs.
+    #[inline]
     pub fn value_strike(&mut self) -> Option<u64> {
         if self.cfg.value_flip_rate <= 0.0 || self.value_rng.next_f64() >= self.cfg.value_flip_rate
         {
@@ -264,13 +265,17 @@ impl FaultInjector {
     /// forces value bit `bit` to read as `level`. A pure function of the
     /// seed and the slot index — the defect map never changes.
     #[must_use]
+    #[inline]
     pub fn stuck_bit(&self, slot: usize) -> Option<(u32, bool)> {
         if self.cfg.stuck_at_rate <= 0.0 {
             return None;
         }
-        let mut r = SplitMix64::new(self.cfg.seed)
-            .split("stuck-at")
-            .split(&format!("slot-{slot}"));
+        self.draw_stuck_bit(slot)
+    }
+
+    fn draw_stuck_bit(&self, slot: usize) -> Option<(u32, bool)> {
+        let mut r =
+            SplitMix64::new(self.cfg.seed).split("stuck-at").split_numbered("slot-", slot as u64);
         if r.next_f64() >= self.cfg.stuck_at_rate {
             return None;
         }
@@ -281,6 +286,7 @@ impl FaultInjector {
 
     /// Apply slot `slot`'s stuck-at defect (if any) to a value being read.
     #[must_use]
+    #[inline]
     pub fn apply_stuck(&self, slot: usize, value: u64) -> u64 {
         match self.stuck_bit(slot) {
             Some((bit, true)) => value | (1u64 << bit),
@@ -353,6 +359,28 @@ mod tests {
         }
         let defects = (0..256).filter(|&s| inj.stuck_bit(s).is_some()).count();
         assert!((64..192).contains(&defects), "≈half the slots defective, got {defects}");
+    }
+
+    #[test]
+    fn stuck_map_is_pinned() {
+        // Values of the defect map as first shipped (`slot-{slot}` labels):
+        // the table's stuck-at reads, and every fault study built on them,
+        // depend on this exact map.
+        let slots = [0, 1, 9, 10, 31, 99, 100, 1023, 65_536, usize::MAX];
+        type Defects = [Option<(u32, bool)>; 10];
+        #[rustfmt::skip]
+        let pinned: [(u64, Defects); 4] = [
+            (0, [Some((32, false)), None, None, None, Some((16, true)), None, None, Some((33, true)), None, Some((58, true))]),
+            (5, [Some((45, false)), Some((19, false)), None, None, None, Some((53, false)), None, Some((61, true)), None, None]),
+            (0xFA17, [None, Some((7, false)), Some((34, false)), Some((32, true)), None, Some((10, true)), None, None, None, None]),
+            (u64::MAX, [Some((28, false)), Some((31, true)), Some((3, false)), Some((35, false)), None, None, None, Some((50, false)), None, None]),
+        ];
+        for (seed, want) in pinned {
+            let inj =
+                FaultInjector::new(FaultConfig::disabled().with_seed(seed).with_stuck_rate(0.5));
+            let got: Vec<_> = slots.iter().map(|&s| inj.stuck_bit(s)).collect();
+            assert_eq!(got, want, "seed {seed:#x}");
+        }
     }
 
     #[test]

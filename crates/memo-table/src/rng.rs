@@ -7,6 +7,17 @@
 //! the other way), so the few lines are duplicated here for the
 //! [`crate::FaultInjector`] and for property tests.
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 /// SplitMix64 pseudo-random number generator.
 ///
 /// # Examples
@@ -33,11 +44,25 @@ impl SplitMix64 {
     /// Derive an independent generator for a labelled sub-stream.
     #[must_use]
     pub fn split(&self, label: &str) -> Self {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-        for byte in label.bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        SplitMix64 { state: self.state ^ fnv1a(FNV_OFFSET, label.as_bytes()) }
+    }
+
+    /// `self.split(&format!("{prefix}{n}"))` without building the label:
+    /// the hash runs over `prefix`, then over the decimal digits of `n`.
+    #[must_use]
+    pub(crate) fn split_numbered(&self, prefix: &str, n: u64) -> Self {
+        let mut digits = [0u8; 20]; // u64::MAX has 20 decimal digits
+        let mut start = digits.len();
+        let mut rest = n;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
         }
+        let h = fnv1a(fnv1a(FNV_OFFSET, prefix.as_bytes()), &digits[start..]);
         SplitMix64 { state: self.state ^ h }
     }
 
@@ -88,6 +113,14 @@ mod tests {
         let v = x1.next_u64();
         assert_eq!(v, x2.next_u64());
         assert_ne!(v, y.next_u64());
+    }
+
+    #[test]
+    fn numbered_split_equals_the_formatted_label() {
+        let root = SplitMix64::new(0xFA17);
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(root.split_numbered("slot-", n), root.split(&format!("slot-{n}")), "{n}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::key::{
     decode_value, encode_tag, encode_value, fill_set_indices, fill_swapped_tags, fill_tags,
     set_index, Key,
 };
-use crate::op::{Op, Value};
+use crate::op::{Op, OpKind, Value};
 use crate::stats::MemoStats;
 use crate::trivial::{fill_trivial_lanes, trivial_result};
 use crate::Memoizer;
@@ -62,20 +62,99 @@ pub struct Executed {
     pub outcome: Outcome,
 }
 
+/// Slot storage, one column per field, indexed set-major
+/// (`set * ways + way`). A set scan reads only the kind and tag columns; a
+/// hit also stamps `last_use` and checks `value` against `clean`. The
+/// clean tag and the FIFO stamp are read only by a scrub or an eviction.
 #[derive(Debug, Clone)]
-struct Entry {
-    /// The tag as stored — may drift from `clean_key` under tag faults.
-    key: Key,
-    /// The tag as written at insert time (the checker's reference).
-    clean_key: Key,
+struct Slots {
+    /// The entry's operation kind as [`kind_byte`], or 0 for an invalid
+    /// slot. Invalidating a slot clears this byte only.
+    kind: Vec<u8>,
+    /// The tag as stored — may drift from `clean_tag` under tag faults.
+    tag: Vec<u128>,
     /// The payload as stored — may drift from `clean` under value faults.
-    value: u64,
+    value: Vec<u64>,
+    last_use: Vec<u64>,
+    /// The tag as written at insert time (the checker's reference).
+    clean_tag: Vec<u128>,
     /// The payload as written at insert time (what the entry's parity/ECC
     /// bits were computed over; the Hamming distance `value ^ clean` is
     /// exactly the error count a real checker would see).
-    clean: u64,
-    last_use: u64,
-    inserted: u64,
+    clean: Vec<u64>,
+    inserted: Vec<u64>,
+}
+
+impl Slots {
+    fn new(entries: usize) -> Self {
+        Slots {
+            kind: vec![0; entries],
+            tag: vec![0; entries],
+            value: vec![0; entries],
+            last_use: vec![0; entries],
+            clean_tag: vec![0; entries],
+            clean: vec![0; entries],
+            inserted: vec![0; entries],
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, slot: usize, key: Key, value: u64, stamp: u64) {
+        self.kind[slot] = kind_byte(key.kind);
+        self.tag[slot] = key.tag;
+        self.value[slot] = value;
+        self.last_use[slot] = stamp;
+        self.clean_tag[slot] = key.tag;
+        self.clean[slot] = value;
+        self.inserted[slot] = stamp;
+    }
+}
+
+/// The kind column's code for a valid entry of `kind` (never 0).
+#[inline(always)]
+fn kind_byte(kind: OpKind) -> u8 {
+    kind as u8 + 1
+}
+
+/// The first way for which `pred` holds. With `W` fixed this evaluates
+/// `pred` on every way into a match mask and takes its lowest bit; with
+/// `W = 0` it walks the run-time way count and stops at the first match.
+/// Either way the answer is the lowest matching way.
+#[inline(always)]
+fn first_way<const W: usize>(ways: usize, pred: impl Fn(usize) -> bool) -> Option<usize> {
+    if W == 0 {
+        (0..ways).find(|&w| pred(w))
+    } else {
+        let mask = (0..W).fold(0u32, |mask, w| mask | u32::from(pred(w)) << w);
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
+    }
+}
+
+/// The way with the smallest `key`, the first one on ties (the way
+/// `Iterator::min_by_key` picks).
+#[inline(always)]
+fn first_min(ways: usize, key: impl Fn(usize) -> u64) -> usize {
+    let mut best = 0;
+    for w in 1..ways {
+        if key(w) < key(best) {
+            best = w;
+        }
+    }
+    best
+}
+
+/// Call `$table.$method::<W>(..)` with `W` the table's way count when it
+/// is 1, 2, 4 or 8, and with `W = 0` (the run-time way count) otherwise.
+macro_rules! by_ways {
+    ($table:expr, $method:ident($($arg:expr),*)) => {
+        match $table.ways {
+            1 => $table.$method::<1>($($arg),*),
+            2 => $table.$method::<2>($($arg),*),
+            4 => $table.$method::<4>($($arg),*),
+            8 => $table.$method::<8>($($arg),*),
+            _ => $table.$method::<0>($($arg),*),
+        }
+    };
 }
 
 /// A finite, set-associative memo table.
@@ -99,7 +178,10 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct MemoTable {
     cfg: MemoConfig,
-    slots: Vec<Option<Entry>>,
+    /// `cfg.sets()` and `cfg.ways()`, fixed at construction.
+    sets: usize,
+    ways: usize,
+    slots: Slots,
     clock: u64,
     stats: MemoStats,
     rng: u64,
@@ -116,7 +198,9 @@ impl MemoTable {
     pub fn new(cfg: MemoConfig) -> Self {
         MemoTable {
             cfg,
-            slots: vec![None; cfg.entries()],
+            sets: cfg.sets(),
+            ways: cfg.ways(),
+            slots: Slots::new(cfg.entries()),
             clock: 0,
             stats: MemoStats::new(),
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -152,13 +236,13 @@ impl MemoTable {
     /// Number of valid entries currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.kind.iter().filter(|&&k| k != 0).count()
     }
 
     /// `true` if no entries are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.slots.kind.iter().all(|&k| k == 0)
     }
 
     /// Hit ratio under this table's own trivial policy — the number the
@@ -173,21 +257,41 @@ impl MemoTable {
         self.clock
     }
 
+    /// The way count the `W`-specialized code runs with: `W` itself, or
+    /// the table's run-time count when `W = 0`.
+    #[inline(always)]
+    fn way_count<const W: usize>(&self) -> usize {
+        debug_assert!(
+            W == 0 || W == self.ways,
+            "specialized for {W} ways, table has {}",
+            self.ways
+        );
+        if W == 0 {
+            self.ways
+        } else {
+            W
+        }
+    }
+
+    /// The way of the set starting at slot `base` that holds the entry of
+    /// kind code `kind` and stored tag `tag`, if any.
+    #[inline(always)]
+    fn find_way<const W: usize>(&self, base: usize, kind: u8, tag: u128) -> Option<usize> {
+        let ways = self.way_count::<W>();
+        let kinds = &self.slots.kind[base..base + ways];
+        let tags = &self.slots.tag[base..base + ways];
+        first_way::<W>(ways, |w| (kinds[w] == kind) & (tags[w] == tag))
+    }
+
     /// Search one set for `key`; on success refresh its LRU stamp and
     /// return the matching slot index.
-    fn lookup_in_set(&mut self, set: usize, key: Key) -> Option<usize> {
-        let ways = self.cfg.ways();
-        let base = set * ways;
+    #[inline]
+    fn lookup_in_set<const W: usize>(&mut self, set: usize, key: Key) -> Option<usize> {
+        let base = set * self.way_count::<W>();
         let stamp = self.tick();
-        for (offset, slot) in self.slots[base..base + ways].iter_mut().enumerate() {
-            if let Some(entry) = slot {
-                if entry.key == key {
-                    entry.last_use = stamp;
-                    return Some(base + offset);
-                }
-            }
-        }
-        None
+        let slot = base + self.find_way::<W>(base, kind_byte(key.kind), key.tag)?;
+        self.slots.last_use[slot] = stamp;
+        Some(slot)
     }
 
     fn next_random(&mut self) -> u64 {
@@ -200,33 +304,33 @@ impl MemoTable {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn insert(&mut self, set: usize, key: Key, value: u64) {
-        let ways = self.cfg.ways();
+    fn insert<const W: usize>(&mut self, set: usize, key: Key, value: u64) {
+        let ways = self.way_count::<W>();
         let base = set * ways;
         let stamp = self.tick();
 
-        // Prefer an invalid slot.
-        if let Some(slot) = self.slots[base..base + ways].iter_mut().find(|s| s.is_none()) {
-            *slot =
-                Some(Entry { key, clean_key: key, value, clean: value, last_use: stamp, inserted: stamp });
-            self.stats.insertions += 1;
-            return;
-        }
-
-        // All ways valid: pick a victim.
-        let victim_way = match self.cfg.replacement() {
-            Replacement::Lru => (0..ways)
-                .min_by_key(|&w| self.slots[base + w].as_ref().map(|e| e.last_use))
-                .expect("ways >= 1"),
-            Replacement::Fifo => (0..ways)
-                .min_by_key(|&w| self.slots[base + w].as_ref().map(|e| e.inserted))
-                .expect("ways >= 1"),
-            Replacement::Random => (self.next_random() % ways as u64) as usize,
+        let kinds = &self.slots.kind[base..base + ways];
+        let way = match first_way::<W>(ways, |w| kinds[w] == 0) {
+            // Prefer an invalid slot.
+            Some(way) => way,
+            // All ways valid: pick a victim.
+            None => {
+                self.stats.evictions += 1;
+                match self.cfg.replacement() {
+                    Replacement::Lru => {
+                        let last_use = &self.slots.last_use[base..base + ways];
+                        first_min(ways, |w| last_use[w])
+                    }
+                    Replacement::Fifo => {
+                        let inserted = &self.slots.inserted[base..base + ways];
+                        first_min(ways, |w| inserted[w])
+                    }
+                    Replacement::Random => (self.next_random() % ways as u64) as usize,
+                }
+            }
         };
-        self.slots[base + victim_way] =
-            Some(Entry { key, clean_key: key, value, clean: value, last_use: stamp, inserted: stamp });
+        self.slots.write(base + way, key, value, stamp);
         self.stats.insertions += 1;
-        self.stats.evictions += 1;
     }
 
     /// Tag maintenance for one probed set: the protection policy scrubs
@@ -239,36 +343,37 @@ impl MemoTable {
     /// set and either repair (single flips, SEC-DED) or invalidate it.
     /// [`Protection::VerifyOnHit`] only checks *served* values, so it never
     /// sees unreachable entries.
-    fn scrub_and_strike_tags(&mut self, set: usize) {
-        let ways = self.cfg.ways();
+    fn scrub_and_strike_tags<const W: usize>(&mut self, set: usize) {
+        let ways = self.way_count::<W>();
         let base = set * ways;
+        let slots = &mut self.slots;
 
         match self.cfg.protection() {
             Protection::None | Protection::VerifyOnHit { .. } => {}
             Protection::ParityDetect => {
-                for slot in self.slots[base..base + ways].iter_mut() {
-                    if let Some(e) = slot {
-                        let errs = (e.key.tag ^ e.clean_key.tag).count_ones();
-                        if errs % 2 == 1 {
-                            self.stats.faults_detected += 1;
-                            *slot = None;
-                        }
+                for i in base..base + ways {
+                    if slots.kind[i] != 0
+                        && (slots.tag[i] ^ slots.clean_tag[i]).count_ones() % 2 == 1
+                    {
+                        self.stats.faults_detected += 1;
+                        slots.kind[i] = 0;
                     }
                 }
             }
             Protection::EccSecDed => {
-                for slot in self.slots[base..base + ways].iter_mut() {
-                    if let Some(e) = slot {
-                        match (e.key.tag ^ e.clean_key.tag).count_ones() {
-                            0 => {}
-                            1 => {
-                                e.key = e.clean_key;
-                                self.stats.faults_corrected += 1;
-                            }
-                            _ => {
-                                self.stats.faults_detected += 1;
-                                *slot = None;
-                            }
+                for i in base..base + ways {
+                    if slots.kind[i] == 0 {
+                        continue;
+                    }
+                    match (slots.tag[i] ^ slots.clean_tag[i]).count_ones() {
+                        0 => {}
+                        1 => {
+                            slots.tag[i] = slots.clean_tag[i];
+                            self.stats.faults_corrected += 1;
+                        }
+                        _ => {
+                            self.stats.faults_detected += 1;
+                            slots.kind[i] = 0;
                         }
                     }
                 }
@@ -280,17 +385,15 @@ impl MemoTable {
         // Pick the n-th valid entry without collecting indices — this runs
         // on every probed set when an injector is attached, so it must not
         // allocate.
-        let valid = self.slots[base..base + ways].iter().filter(|s| s.is_some()).count();
+        let kinds = &slots.kind[base..base + ways];
+        let valid = kinds.iter().filter(|&&k| k != 0).count();
         if valid == 0 {
             return;
         }
         let target = (way_draw % valid as u64) as usize;
-        let victim = (base..base + ways)
-            .filter(|&i| self.slots[i].is_some())
-            .nth(target)
-            .expect("target < valid count");
-        let entry = self.slots[victim].as_mut().expect("victim slot is valid");
-        entry.key.tag ^= 1u128 << bit;
+        let victim =
+            (0..ways).filter(|&w| kinds[w] != 0).nth(target).expect("target < valid count");
+        slots.tag[base + victim] ^= 1u128 << bit;
         self.stats.faults_injected += 1;
         self.tags_dirty = true;
     }
@@ -298,19 +401,18 @@ impl MemoTable {
     /// Read a matched entry through the fault process and the protection
     /// policy. `None` means the hit was downgraded to a miss (corruption
     /// detected, entry invalidated) or the payload cannot be decoded.
+    #[inline]
     fn read_protected(&mut self, op: &Op, slot: usize) -> Option<Value> {
         // New soft errors strike the cell itself: persist them.
         if let Some(injector) = &mut self.injector {
             if let Some(mask) = injector.value_strike() {
-                let entry = self.slots[slot].as_mut().expect("matched slot is valid");
-                entry.value ^= mask;
+                self.slots.value[slot] ^= mask;
                 self.stats.faults_injected += 1;
             }
         }
 
-        let entry = self.slots[slot].as_ref().expect("matched slot is valid");
-        let clean = entry.clean;
-        let mut read = entry.value;
+        let clean = self.slots.clean[slot];
+        let mut read = self.slots.value[slot];
         // Stuck-at defects corrupt the read, not the cell contents.
         if let Some(injector) = &self.injector {
             let stuck = injector.apply_stuck(slot, read);
@@ -320,21 +422,26 @@ impl MemoTable {
             }
         }
 
+        if read != clean {
+            return self.read_corrupted(op, slot, read, clean);
+        }
+        match decode_value(op, read, self.cfg.tag()) {
+            Some(v) => Some(v),
+            None => {
+                // Tag matched but the exponent path cannot reconstruct
+                // the result for these operands (mantissa mode only):
+                // the hardware falls back to the conventional unit.
+                self.stats.bypasses += 1;
+                None
+            }
+        }
+    }
+
+    /// The protection policy's verdict on a matched read `read` that
+    /// differs from the entry's clean value `clean`.
+    fn read_corrupted(&mut self, op: &Op, slot: usize, read: u64, clean: u64) -> Option<Value> {
         let tag = self.cfg.tag();
         let errs = (read ^ clean).count_ones();
-        if errs == 0 {
-            return match decode_value(op, read, tag) {
-                Some(v) => Some(v),
-                None => {
-                    // Tag matched but the exponent path cannot reconstruct
-                    // the result for these operands (mantissa mode only):
-                    // the hardware falls back to the conventional unit.
-                    self.stats.bypasses += 1;
-                    None
-                }
-            };
-        }
-
         let truth = decode_value(op, clean, tag);
         let serve_corrupted = |table: &mut Self, value: u64| match decode_value(op, value, tag) {
             Some(seen) => {
@@ -354,7 +461,7 @@ impl MemoTable {
             Protection::ParityDetect => {
                 if errs % 2 == 1 {
                     self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
+                    self.slots.kind[slot] = 0;
                     None
                 } else {
                     // An even error count escapes parity.
@@ -364,8 +471,7 @@ impl MemoTable {
             Protection::EccSecDed => match errs {
                 1 => {
                     self.stats.faults_corrected += 1;
-                    let entry = self.slots[slot].as_mut().expect("matched slot is valid");
-                    entry.value = clean;
+                    self.slots.value[slot] = clean;
                     match decode_value(op, clean, tag) {
                         Some(v) => Some(v),
                         None => {
@@ -376,7 +482,7 @@ impl MemoTable {
                 }
                 2 => {
                     self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
+                    self.slots.kind[slot] = 0;
                     None
                 }
                 // Three or more flips exceed SEC-DED's guarantee: treat as
@@ -392,7 +498,7 @@ impl MemoTable {
                     seen
                 } else {
                     self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
+                    self.slots.kind[slot] = 0;
                     None
                 }
             }
@@ -411,25 +517,26 @@ impl MemoTable {
     /// injector may strike a tag, or once a strike has left a tag that
     /// differs from its reference. Until then every stored tag is clean,
     /// the scrub finds nothing and the strike draws nothing.
-    fn probe_keyed(&mut self, op: &Op, key: Key, set: usize) -> Option<Value> {
+    #[inline]
+    fn probe_keyed<const W: usize>(&mut self, op: &Op, key: Key, set: usize) -> Option<Value> {
         let strikes_tags =
             self.injector.as_ref().is_some_and(|i| i.config().tag_flip_rate > 0.0);
         if strikes_tags || self.tags_dirty {
-            self.scrub_and_strike_tags(set);
+            self.scrub_and_strike_tags::<W>(set);
         }
-        let slot = self.lookup_in_set(set, key)?;
+        let slot = self.lookup_in_set::<W>(set, key)?;
         self.read_protected(op, slot)
     }
 
     /// Probe the swapped operand order of a commutative operation (§2.2).
-    fn probe_commutative(&mut self, op: &Op) -> Option<Value> {
+    fn probe_commutative<const W: usize>(&mut self, op: &Op) -> Option<Value> {
         if !self.cfg.commutative() {
             return None;
         }
         let swapped = op.swapped()?;
         let key = encode_tag(&swapped, self.cfg.tag())?;
-        let set = set_index(&swapped, self.cfg.sets(), self.cfg.hash());
-        let v = self.probe_keyed(&swapped, key, set)?;
+        let set = set_index(&swapped, self.sets, self.cfg.hash());
+        let v = self.probe_keyed::<W>(&swapped, key, set)?;
         self.stats.table_hits += 1;
         self.stats.commutative_hits += 1;
         Some(v)
@@ -439,7 +546,8 @@ impl MemoTable {
     /// [`Memoizer::execute`]: trivial handling, tag encoding, and the
     /// lookup. `Err(probe)` is an early decision; `Ok((key, set))` means
     /// the lookup missed and the derived key/set are reusable for insert.
-    fn probe_front(&mut self, op: &Op) -> Result<(Key, usize), Probe> {
+    #[inline]
+    fn probe_front<const W: usize>(&mut self, op: &Op) -> Result<(Key, usize), Probe> {
         self.stats.ops_seen += 1;
 
         if let Some((_, value)) = trivial_result(op) {
@@ -459,16 +567,63 @@ impl MemoTable {
             self.stats.bypasses += 1;
             return Err(Probe::Miss);
         };
-        let set = set_index(op, self.cfg.sets(), self.cfg.hash());
+        let set = set_index(op, self.sets, self.cfg.hash());
 
-        if let Some(v) = self.probe_keyed(op, key, set) {
+        if let Some(v) = self.probe_keyed::<W>(op, key, set) {
             self.stats.table_hits += 1;
             return Err(Probe::Hit(v));
         }
-        if let Some(v) = self.probe_commutative(op) {
+        if let Some(v) = self.probe_commutative::<W>(op) {
             return Err(Probe::Hit(v));
         }
         Ok((key, set))
+    }
+
+    /// [`Memoizer::execute`] with the way count fixed at `W` (0: run time).
+    #[inline]
+    fn execute_ways<const W: usize>(&mut self, op: Op) -> Executed {
+        match self.probe_front::<W>(&op) {
+            Err(Probe::Hit(v)) => Executed { value: v, outcome: Outcome::Hit },
+            Err(Probe::Trivial(v)) => Executed { value: v, outcome: Outcome::Trivial },
+            Err(Probe::Filtered) => {
+                Executed { value: op.compute(), outcome: Outcome::Filtered }
+            }
+            Err(Probe::Miss) => {
+                // Tag not encodable: computed conventionally, never stored.
+                Executed { value: op.compute(), outcome: Outcome::Miss }
+            }
+            Ok((key, set)) => {
+                let value = op.compute();
+                match encode_value(&op, value, self.cfg.tag()) {
+                    Some(stored) => self.insert::<W>(set, key, stored),
+                    None => self.stats.bypasses += 1,
+                }
+                Executed { value, outcome: Outcome::Miss }
+            }
+        }
+    }
+
+    /// [`Memoizer::execute_batch`] with the way count fixed at `W` (0: run
+    /// time). Fault injection and protection scrubbing mutate per-probe
+    /// state (strike draws, scrubs, invalidations), so protected or
+    /// fault-injected tables take the scalar path — still batch-decoded,
+    /// still bit-identical.
+    fn execute_batch_ways<const W: usize>(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
+        if self.injector.is_some() || self.cfg.protection() != Protection::None {
+            let mut out = BatchOutcome::default();
+            for i in 0..batch.len() {
+                match self.execute_ways::<W>(batch.op(i)).outcome {
+                    Outcome::Hit => out.hits += 1,
+                    Outcome::Trivial => out.trivials += 1,
+                    Outcome::Filtered | Outcome::Miss => {}
+                }
+            }
+            return out;
+        }
+        match self.cfg.tag() {
+            TagPolicy::FullValue => self.execute_batch_lanes_full::<W>(batch),
+            TagPolicy::MantissaOnly => self.execute_batch_lanes::<W>(batch),
+        }
     }
 
     /// Lane-parallel batch execution for fault-free, unprotected
@@ -479,25 +634,26 @@ impl MemoTable {
     /// lanes) and a matched payload always decodes, so the whole per-lane
     /// cascade collapses: trivial masks and set indices are filled in
     /// lane-parallel loops, tags are two raw-column loads folded inline,
-    /// and the serial resolve keeps the clock and every statistic in
+    /// trivial and lookup counts come from the trivial mask once per tile,
+    /// and the serial resolve keeps the clock and the hit counts in
     /// registers, flushing to the table's counters once per batch. The
     /// decision sequence per lane — probe, swapped probe, insert, every
     /// clock tick and LRU stamp — is exactly the scalar one, so state and
     /// stats land bit-identical to [`Memoizer::execute`] lane by lane.
-    fn execute_batch_lanes_full(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
+    fn execute_batch_lanes_full<const W: usize>(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
         debug_assert!(self.injector.is_none() && self.cfg.protection() == Protection::None);
         debug_assert_eq!(self.cfg.tag(), TagPolicy::FullValue);
         let kind = batch.kind();
+        let code = kind_byte(kind);
         let scheme = self.cfg.hash();
-        let sets = self.cfg.sets();
-        let ways = self.cfg.ways();
+        let sets = self.sets;
+        let ways = self.way_count::<W>();
         let trivial_policy = self.cfg.trivial();
         let commutative = self.cfg.commutative() && kind.is_commutative();
         let swap_hashes = commutative && scheme == HashScheme::FoldMix;
 
-        let mut out = BatchOutcome::default();
-        let (mut ops_seen, mut trivial_seen, mut lookups) = (0u64, 0u64, 0u64);
-        let (mut hits, mut comm_hits) = (0u64, 0u64);
+        let skip_trivial = trivial_policy != TrivialPolicy::Memoize;
+        let (mut trivial_seen, mut lookups, mut hits, mut comm_hits) = (0u64, 0u64, 0u64, 0u64);
         let mut clock = self.clock;
 
         let mut start = 0usize;
@@ -505,6 +661,8 @@ impl MemoTable {
             let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
             let a = &batch.a()[start..start + w];
             let b = if batch.b().is_empty() { &[][..] } else { &batch.b()[start..start + w] };
+            // A unary lane's tag repeats its operand.
+            let b_tag = if b.is_empty() { a } else { b };
             start += w;
 
             let mut trivial = [false; MAX_BATCH_WIDTH];
@@ -515,39 +673,23 @@ impl MemoTable {
             if swap_hashes {
                 fill_set_indices(kind, scheme, sets, a, b, true, &mut swapped_set_idx[..w]);
             }
+            let tile_trivials = trivial[..w].iter().filter(|&&t| t).count() as u64;
+            trivial_seen += tile_trivials;
+            lookups += if skip_trivial { w as u64 - tile_trivials } else { w as u64 };
 
             for i in 0..w {
-                ops_seen += 1;
-                if trivial[i] {
-                    trivial_seen += 1;
-                    match trivial_policy {
-                        TrivialPolicy::Exclude => continue,
-                        TrivialPolicy::Integrate => {
-                            out.trivials += 1;
-                            continue;
-                        }
-                        TrivialPolicy::Memoize => {}
-                    }
+                if skip_trivial && trivial[i] {
+                    continue;
                 }
-                lookups += 1;
-                let ai = a[i];
-                let bi = if b.is_empty() { ai } else { b[i] };
+                let (ai, bi) = (a[i], b_tag[i]);
                 let tag = ((ai as u128) << 64) | bi as u128;
                 let set = set_idx[i] as usize;
                 let base = set * ways;
 
                 clock += 1;
-                let mut matched = false;
-                for e in self.slots[base..base + ways].iter_mut().flatten() {
-                    if e.key.tag == tag && e.key.kind == kind {
-                        e.last_use = clock;
-                        matched = true;
-                        break;
-                    }
-                }
-                if matched {
+                if let Some(way) = self.find_way::<W>(base, code, tag) {
+                    self.slots.last_use[base + way] = clock;
                     hits += 1;
-                    out.hits += 1;
                     continue;
                 }
 
@@ -556,17 +698,10 @@ impl MemoTable {
                     let sbase =
                         if swap_hashes { swapped_set_idx[i] as usize * ways } else { base };
                     clock += 1;
-                    for e in self.slots[sbase..sbase + ways].iter_mut().flatten() {
-                        if e.key.tag == stag && e.key.kind == kind {
-                            e.last_use = clock;
-                            matched = true;
-                            break;
-                        }
-                    }
-                    if matched {
+                    if let Some(way) = self.find_way::<W>(sbase, code, stag) {
+                        self.slots.last_use[sbase + way] = clock;
                         hits += 1;
                         comm_hits += 1;
-                        out.hits += 1;
                         continue;
                     }
                 }
@@ -574,18 +709,19 @@ impl MemoTable {
                 // Miss: compute and insert, syncing the register clock with
                 // the shared helper's tick.
                 self.clock = clock;
-                self.insert(set, Key { kind, tag }, compute_bits(kind, ai, bi));
+                self.insert::<W>(set, Key { kind, tag }, compute_bits(kind, ai, bi));
                 clock = self.clock;
             }
         }
 
         self.clock = clock;
-        self.stats.ops_seen += ops_seen;
+        self.stats.ops_seen += batch.len() as u64;
         self.stats.trivial_seen += trivial_seen;
         self.stats.table_lookups += lookups;
         self.stats.table_hits += hits;
         self.stats.commutative_hits += comm_hits;
-        out
+        let trivials = if trivial_policy == TrivialPolicy::Integrate { trivial_seen } else { 0 };
+        BatchOutcome { hits, trivials }
     }
 
     /// Lane-parallel batch execution for fault-free, unprotected tables
@@ -600,12 +736,12 @@ impl MemoTable {
     /// same `lookup_in_set`/`insert` helpers in the same order so every
     /// clock tick, stamp, and statistics increment lands identically to
     /// [`Memoizer::execute`] on each lane in turn.
-    fn execute_batch_lanes(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
+    fn execute_batch_lanes<const W: usize>(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
         debug_assert!(self.injector.is_none() && self.cfg.protection() == Protection::None);
         let kind = batch.kind();
         let policy = self.cfg.tag();
         let scheme = self.cfg.hash();
-        let sets = self.cfg.sets();
+        let sets = self.sets;
         let trivial_policy = self.cfg.trivial();
         let commutative = self.cfg.commutative() && kind.is_commutative();
         // PaperXor is symmetric under operand swap; only FoldMix needs a
@@ -658,7 +794,7 @@ impl MemoTable {
                 let key = Key { kind, tag: tags[i] };
                 let set = set_idx[i] as usize;
 
-                if let Some(slot) = self.lookup_in_set(set, key) {
+                if let Some(slot) = self.lookup_in_set::<W>(set, key) {
                     match policy {
                         // Full-value payloads always decode; the value
                         // itself is not materialized here.
@@ -668,8 +804,7 @@ impl MemoTable {
                             continue;
                         }
                         TagPolicy::MantissaOnly => {
-                            let read =
-                                self.slots[slot].as_ref().expect("matched slot is valid").value;
+                            let read = self.slots.value[slot];
                             if decode_value(&tile.op(i), read, policy).is_some() {
                                 self.stats.table_hits += 1;
                                 out.hits += 1;
@@ -685,7 +820,7 @@ impl MemoTable {
                 if commutative {
                     let skey = Key { kind, tag: swapped_tags[i] };
                     let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
-                    if let Some(slot) = self.lookup_in_set(sset, skey) {
+                    if let Some(slot) = self.lookup_in_set::<W>(sset, skey) {
                         match policy {
                             TagPolicy::FullValue => {
                                 self.stats.table_hits += 1;
@@ -694,8 +829,7 @@ impl MemoTable {
                                 continue;
                             }
                             TagPolicy::MantissaOnly => {
-                                let read =
-                                    self.slots[slot].as_ref().expect("matched slot is valid").value;
+                                let read = self.slots.value[slot];
                                 let swapped = tile.op(i).swapped().expect("commutative kind");
                                 if decode_value(&swapped, read, policy).is_some() {
                                     self.stats.table_hits += 1;
@@ -713,12 +847,12 @@ impl MemoTable {
                 match policy {
                     TagPolicy::FullValue => {
                         let b_lane = if b.is_empty() { a[i] } else { b[i] };
-                        self.insert(set, key, compute_bits(kind, a[i], b_lane));
+                        self.insert::<W>(set, key, compute_bits(kind, a[i], b_lane));
                     }
                     TagPolicy::MantissaOnly => {
                         let op = tile.op(i);
                         match encode_value(&op, op.compute(), policy) {
-                            Some(stored) => self.insert(set, key, stored),
+                            Some(stored) => self.insert::<W>(set, key, stored),
                             None => self.stats.bypasses += 1,
                         }
                     }
@@ -731,7 +865,7 @@ impl MemoTable {
 
 impl Memoizer for MemoTable {
     fn probe(&mut self, op: Op) -> Probe {
-        match self.probe_front(&op) {
+        match self.probe_front::<0>(&op) {
             Err(probe) => probe,
             Ok(_) => Probe::Miss,
         }
@@ -741,48 +875,15 @@ impl Memoizer for MemoTable {
     /// derived during the probe are reused by the insert after a miss,
     /// instead of being recomputed by [`Memoizer::update`]. This is the
     /// sweep hot path — every replayed trace operation lands here.
+    #[inline]
     fn execute(&mut self, op: Op) -> Executed {
-        match self.probe_front(&op) {
-            Err(Probe::Hit(v)) => Executed { value: v, outcome: Outcome::Hit },
-            Err(Probe::Trivial(v)) => Executed { value: v, outcome: Outcome::Trivial },
-            Err(Probe::Filtered) => {
-                Executed { value: op.compute(), outcome: Outcome::Filtered }
-            }
-            Err(Probe::Miss) => {
-                // Tag not encodable: computed conventionally, never stored.
-                Executed { value: op.compute(), outcome: Outcome::Miss }
-            }
-            Ok((key, set)) => {
-                let value = op.compute();
-                match encode_value(&op, value, self.cfg.tag()) {
-                    Some(stored) => self.insert(set, key, stored),
-                    None => self.stats.bypasses += 1,
-                }
-                Executed { value, outcome: Outcome::Miss }
-            }
-        }
+        by_ways!(self, execute_ways(op))
     }
 
-    /// Batched execution with a lane-parallel front end. Fault injection
-    /// and protection scrubbing mutate per-probe state (strike draws,
-    /// scrubs, invalidations), so protected or fault-injected tables take
-    /// the scalar path — still batch-decoded, still bit-identical.
+    /// Batched execution with a lane-parallel front end (see
+    /// `execute_batch_ways`), specialized on the way count once per batch.
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        if self.injector.is_some() || self.cfg.protection() != Protection::None {
-            let mut out = BatchOutcome::default();
-            for i in 0..batch.len() {
-                match self.execute(batch.op(i)).outcome {
-                    Outcome::Hit => out.hits += 1,
-                    Outcome::Trivial => out.trivials += 1,
-                    Outcome::Filtered | Outcome::Miss => {}
-                }
-            }
-            return out;
-        }
-        match self.cfg.tag() {
-            TagPolicy::FullValue => self.execute_batch_lanes_full(batch),
-            TagPolicy::MantissaOnly => self.execute_batch_lanes(batch),
-        }
+        by_ways!(self, execute_batch_ways(batch))
     }
 
     fn update(&mut self, op: Op, result: Value) {
@@ -796,8 +897,8 @@ impl Memoizer for MemoTable {
             self.stats.bypasses += 1;
             return;
         };
-        let set = set_index(&op, self.cfg.sets(), self.cfg.hash());
-        self.insert(set, key, value);
+        let set = set_index(&op, self.sets, self.cfg.hash());
+        self.insert::<0>(set, key, value);
     }
 
     fn stats(&self) -> MemoStats {
@@ -805,7 +906,7 @@ impl Memoizer for MemoTable {
     }
 
     fn reset(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.slots.kind.fill(0);
         self.clock = 0;
         self.stats = MemoStats::new();
         self.rng = 0x9E37_79B9_7F4A_7C15;
@@ -819,6 +920,9 @@ impl Memoizer for MemoTable {
         self.cfg.protection().hit_penalty()
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1279,59 +1383,5 @@ mod tests {
         assert!(Outcome::Trivial.avoided_computation());
         assert!(!Outcome::Filtered.avoided_computation());
         assert!(!Outcome::Miss.avoided_computation());
-    }
-
-    #[test]
-    #[ignore = "manual perf probe; run with --release --ignored --nocapture"]
-    fn batch_perf_probe() {
-        use crate::config::HashScheme;
-        use crate::key::{fill_set_indices, fill_swapped_tags, fill_tags};
-        use crate::trivial::fill_trivial_lanes;
-        use crate::OpBatch;
-        use std::hint::black_box;
-        use std::time::Instant;
-
-        let pool: Vec<u64> = (0..16).map(|i| (f64::from(i) + 2.25).to_bits()).collect();
-        let n = 1usize << 20;
-        let a: Vec<u64> = (0..n).map(|i| pool[(i * 7) % 16]).collect();
-        let b: Vec<u64> = (0..n).map(|i| pool[(i * 13) % 16]).collect();
-        let kind = crate::OpKind::FpMul;
-        let per = |d: std::time::Duration| d.as_nanos() as f64 / n as f64;
-
-        let mut t = MemoTable::new(MemoConfig::paper_default());
-        let start = Instant::now();
-        for i in 0..n {
-            black_box(t.execute(Op::FpMul(f64::from_bits(a[i]), f64::from_bits(b[i]))));
-        }
-        let d = start.elapsed();
-        println!("scalar:  {:>7.2} ns/op  hits={}", per(d), t.stats().table_hits);
-
-        let mut t = MemoTable::new(MemoConfig::paper_default());
-        let batch = OpBatch::new(kind, &a, &b);
-        let start = Instant::now();
-        let out = t.execute_batch(&batch);
-        let d = start.elapsed();
-        println!("batched: {:>7.2} ns/op  hits={}", per(d), out.hits);
-
-        // Fills alone, over 64-lane tiles.
-        let cfg = MemoConfig::paper_default();
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for s in (0..n).step_by(64) {
-            let (la, lb) = (&a[s..s + 64], &b[s..s + 64]);
-            let mut trivial = [false; 64];
-            let mut valid = [false; 64];
-            let mut tags = [0u128; 64];
-            let mut set_idx = [0u32; 64];
-            let mut swapped = [0u128; 64];
-            fill_trivial_lanes(kind, la, lb, &mut trivial);
-            fill_tags(kind, cfg.tag(), la, lb, &mut tags, &mut valid);
-            fill_set_indices(kind, HashScheme::PaperXor, cfg.sets(), la, lb, false, &mut set_idx);
-            fill_swapped_tags(kind, cfg.tag(), la, lb, &mut swapped);
-            acc ^= tags[0] as u64 ^ u64::from(set_idx[63]) ^ swapped[31] as u64;
-        }
-        let d = start.elapsed();
-        black_box(acc);
-        println!("fills:   {:>7.2} ns/op", per(d));
     }
 }
