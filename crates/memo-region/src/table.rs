@@ -4,14 +4,14 @@
 //! Correctness never rests on the hash: the full live-in vector is
 //! stored and compared word-for-word on every probe, the SplitMix64 hash
 //! only selects the set and provides a cheap early-out tag. Protection
-//! and fault injection reuse the PR 1 [`Protection`] policies and
-//! [`FaultInjector`]: each payload entry keeps a reference copy, and the
-//! Hamming distance between the (possibly struck) served payload and the
-//! reference decides detection/correction exactly as in the per-unit
-//! tables' semantic ECC model.
+//! and fault injection reuse the per-unit tables' [`Protection`] policies
+//! and [`FaultInjector`]: each payload entry keeps a reference copy, and
+//! the Hamming distance between each (possibly struck) served payload
+//! word and its reference goes through [`Protection::check`], the same
+//! verdict the per-unit tables' semantic ECC model uses.
 
 use memo_table::rng::SplitMix64;
-use memo_table::{Assoc, FaultConfig, FaultInjector, MemoStats, Protection};
+use memo_table::{Assoc, Check, FaultConfig, FaultInjector, MemoStats, Protection};
 
 /// Configuration for a [`RegionTable`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,15 +214,17 @@ impl RegionTable {
         // A tag strike flips a bit of some valid entry's stored hash in
         // this set; the entry simply stops matching (a clean miss for its
         // key), mirroring the per-unit tables' tag-corruption model.
+        // The victim is the n-th valid way, picked without collecting
+        // indices (the same draw `MemoTable` reduces).
         if let Some((way_draw, bit)) = self.injector.tag_strike() {
-            let candidates: Vec<usize> =
-                self.set_range(hash).filter(|&i| self.slots[i].is_some()).collect();
-            if !candidates.is_empty() {
-                let victim = candidates[(way_draw % candidates.len() as u64) as usize];
-                if let Some(e) = self.slots[victim].as_mut() {
-                    e.hash ^= 1 << (bit % 64);
-                    self.stats.faults_injected += 1;
-                }
+            let range = self.set_range(hash);
+            let set = &mut self.slots[range];
+            let valid = set.iter().flatten().count();
+            if valid > 0 {
+                let target = (way_draw % valid as u64) as usize;
+                let victim = set.iter_mut().flatten().nth(target).expect("target < valid count");
+                victim.hash ^= 1 << (bit % 64);
+                self.stats.faults_injected += 1;
             }
         }
 
@@ -253,29 +255,16 @@ impl RegionTable {
         let mut corrected = 0u64;
         {
             let e = self.slots[slot].as_mut().expect("found slot is occupied");
-            for w in 0..e.live_out.len() {
-                let distance = (e.live_out[w] ^ e.reference[w]).count_ones();
-                if distance == 0 {
-                    continue;
-                }
-                match self.protection {
-                    Protection::None => silent = true,
-                    Protection::ParityDetect => {
-                        if distance % 2 == 1 {
-                            detected = true;
-                        } else {
-                            silent = true;
-                        }
+            for (word, &reference) in e.live_out.iter_mut().zip(e.reference.iter()) {
+                match self.protection.check((*word ^ reference).count_ones()) {
+                    Check::Clean => {}
+                    Check::Corrected => {
+                        *word = reference;
+                        corrected += 1;
                     }
-                    Protection::EccSecDed => {
-                        if distance == 1 {
-                            e.live_out[w] = e.reference[w];
-                            corrected += 1;
-                        } else {
-                            detected = true;
-                        }
-                    }
-                    Protection::VerifyOnHit { .. } => unreachable!("handled above"),
+                    Check::Detected => detected = true,
+                    Check::Escaped => silent = true,
+                    Check::Verify => unreachable!("handled above"),
                 }
             }
         }
@@ -438,6 +427,55 @@ mod tests {
             other => panic!("expected a (corrupt) hit, got {other:?}"),
         }
         assert_eq!(t.stats().faults_silent, 1);
+    }
+
+    #[test]
+    fn double_flips_escape_parity_and_are_detected_by_ecc() {
+        let faults = FaultConfig::single_bit(11, 1.0).with_double_fraction(1.0);
+        let mut t = RegionTable::new(
+            RegionConfig::new(8).protection(Protection::ParityDetect).faults(faults),
+        )
+        .unwrap();
+        t.insert(4, &[5], &[42]);
+        // An even flip count is invisible to parity: the corrupt payload
+        // is served.
+        match t.probe(4, &[5]) {
+            RegionProbe::Hit(v) => assert_ne!(v, vec![42]),
+            other => panic!("expected a (corrupt) hit, got {other:?}"),
+        }
+        assert_eq!(t.stats().faults_silent, 1);
+        assert_eq!(t.stats().faults_detected, 0);
+
+        let mut t = RegionTable::new(
+            RegionConfig::new(8).protection(Protection::EccSecDed).faults(faults),
+        )
+        .unwrap();
+        t.insert(4, &[5], &[42]);
+        assert_eq!(t.probe(4, &[5]), RegionProbe::Miss);
+        assert_eq!(t.stats().faults_detected, 1);
+        assert_eq!(t.stats().faults_silent, 0);
+        // The entry was invalidated: the next probe misses without a strike.
+        assert_eq!(t.probe(4, &[5]), RegionProbe::Miss);
+        assert_eq!(t.stats().faults_injected, 1);
+        assert_eq!(t.stats().table_hits, 0);
+    }
+
+    #[test]
+    fn tag_strikes_turn_hits_into_clean_misses() {
+        let faults = FaultConfig::disabled().with_seed(3).with_tag_rate(1.0);
+        for protection in Protection::ALL {
+            let mut t =
+                RegionTable::new(RegionConfig::new(8).protection(protection).faults(faults))
+                    .unwrap();
+            t.insert(4, &[5], &[42]);
+            // The strike lands on the set's only valid entry before the
+            // lookup, so the entry no longer matches its own key.
+            assert_eq!(t.probe(4, &[5]), RegionProbe::Miss, "{protection}");
+            let stats = t.stats();
+            assert_eq!(stats.faults_injected, 1, "{protection}");
+            assert_eq!(stats.table_hits, 0, "{protection}");
+            assert_eq!(stats.faults_detected + stats.faults_silent, 0, "{protection}");
+        }
     }
 
     #[test]

@@ -224,13 +224,6 @@ impl OpTrace {
         });
     }
 
-    /// Per-kind replay through the batched probe path. Alias of
-    /// [`replay_kind`](Self::replay_kind), kept for callers that opted into
-    /// chunked decoding before it became the default.
-    pub fn replay_kind_batched<M: Memoizer>(&self, kind: OpKind, table: &mut M) {
-        self.replay_kind(kind, table);
-    }
-
     /// Scalar per-kind replay (the per-op oracle for `replay_kind`).
     pub fn replay_kind_scalar<M: Memoizer>(&self, kind: OpKind, table: &mut M) {
         self.for_each_kind(kind, |op| {

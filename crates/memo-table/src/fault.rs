@@ -19,8 +19,14 @@
 //! stored payload as read and that reference. This reproduces exactly what
 //! parity (odd error counts) and SEC-DED (single-correct, double-detect)
 //! can and cannot see, without simulating the code words themselves.
+//! [`Protection::check`] is the one statement of what each policy does
+//! with a given error count; every table consults it.
 
+use crate::config::TagPolicy;
+use crate::key::decode_value;
+use crate::op::{Op, Value};
 use crate::rng::SplitMix64;
+use crate::stats::MemoStats;
 
 /// How a memo table protects its entries against soft errors.
 ///
@@ -76,6 +82,25 @@ impl Protection {
         }
     }
 
+    /// The checker's verdict on a stored word read with `errs` bits
+    /// differing from the value it was written with.
+    ///
+    /// Parity sees odd error counts only. SEC-DED corrects one flip and
+    /// detects two; three or more exceed its guarantee and are modelled as
+    /// an undetected miscorrection (the word is used as read).
+    /// `VerifyOnHit` has no code bits: the caller must recompute.
+    #[must_use]
+    pub fn check(self, errs: u32) -> Check {
+        match (self, errs) {
+            (_, 0) => Check::Clean,
+            (Protection::ParityDetect, e) if e % 2 == 1 => Check::Detected,
+            (Protection::EccSecDed, 1) => Check::Corrected,
+            (Protection::EccSecDed, 2) => Check::Detected,
+            (Protection::VerifyOnHit { .. }, _) => Check::Verify,
+            _ => Check::Escaped,
+        }
+    }
+
     /// Short label used in experiment tables.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -95,6 +120,77 @@ impl std::fmt::Display for Protection {
             other => f.write_str(other.label()),
         }
     }
+}
+
+/// What a [`Protection`] policy makes of a stored word with bit errors
+/// ([`Protection::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// No bit differs from the written value.
+    Clean,
+    /// The code repaired the word; the entry survives.
+    Corrected,
+    /// The code saw the corruption: the entry must be invalidated.
+    Detected,
+    /// The corruption is invisible to the code: the word is used as read.
+    Escaped,
+    /// Only a recompute-and-compare can tell (verify-on-hit).
+    Verify,
+}
+
+/// What a table does to a matched entry after [`read_checked`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Repair {
+    /// Leave the entry as stored.
+    Keep,
+    /// Write the clean payload back (SEC-DED corrected it).
+    Restore,
+    /// Drop the entry (the corruption was detected).
+    Invalidate,
+}
+
+/// Serve a matched payload read as `read` whose entry was written with
+/// `clean`, under `protection`. Returns the value to serve (`None`
+/// downgrades the hit to a miss) and the repair the caller applies to its
+/// own storage; fault and bypass counters are charged to `stats`.
+pub(crate) fn read_checked(
+    protection: Protection,
+    op: &Op,
+    tag: TagPolicy,
+    read: u64,
+    clean: u64,
+    stats: &mut MemoStats,
+) -> (Option<Value>, Repair) {
+    let truth = decode_value(op, clean, tag);
+    let (value, repair) = match protection.check((read ^ clean).count_ones()) {
+        Check::Clean | Check::Escaped => {
+            let seen = decode_value(op, read, tag);
+            if seen.is_some() && seen != truth {
+                stats.faults_silent += 1;
+            }
+            (seen, Repair::Keep)
+        }
+        Check::Corrected => {
+            stats.faults_corrected += 1;
+            (truth, Repair::Restore)
+        }
+        // The conventional unit recomputes; any served mismatch is caught.
+        // Corruption invisible in the decoded value (unused stored bits)
+        // passes verification legitimately.
+        Check::Verify if truth.is_some() && decode_value(op, read, tag) == truth => {
+            (truth, Repair::Keep)
+        }
+        Check::Detected | Check::Verify => {
+            stats.faults_detected += 1;
+            return (None, Repair::Invalidate);
+        }
+    };
+    if value.is_none() {
+        // The payload cannot be rebuilt for these operands (mantissa mode
+        // only): the hardware falls back to the conventional unit.
+        stats.bypasses += 1;
+    }
+    (value, repair)
 }
 
 /// Error-process rates for a [`FaultInjector`].
@@ -306,6 +402,22 @@ mod tests {
         assert_eq!(Protection::ParityDetect.hit_penalty(), 0);
         assert_eq!(Protection::EccSecDed.hit_penalty(), 1);
         assert_eq!(Protection::VerifyOnHit { verify_cycles: 7 }.hit_penalty(), 7);
+    }
+
+    #[test]
+    fn protection_check_truth_table() {
+        use Check::{Clean as C, Corrected as R, Detected as D, Escaped as E, Verify as V};
+        let cases: [(Protection, [Check; 5]); 4] = [
+            (Protection::None, [C, E, E, E, E]),
+            (Protection::ParityDetect, [C, D, E, D, E]),
+            (Protection::EccSecDed, [C, R, D, E, E]),
+            (Protection::VerifyOnHit { verify_cycles: 4 }, [C, V, V, V, V]),
+        ];
+        for (protection, want) in cases {
+            for (errs, want) in (0u32..).zip(want) {
+                assert_eq!(protection.check(errs), want, "{protection} with {errs} flips");
+            }
+        }
     }
 
     #[test]

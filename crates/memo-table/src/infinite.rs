@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use crate::batch::{compute_bits, BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{TagPolicy, TrivialPolicy};
-use crate::fault::{FaultInjector, Protection};
+use crate::fault::{read_checked, FaultInjector, Protection, Repair};
 use crate::key::{decode_value, encode_tag, encode_value, fill_swapped_tags, fill_tags, Key};
 use crate::key::KeyHashBuilder;
 use crate::op::{Op, Value};
@@ -141,8 +141,7 @@ impl InfiniteMemoTable {
         }
         let Stored { value: read, clean } = *self.entries.get(&key).expect("checked above");
 
-        let errs = (read ^ clean).count_ones();
-        if errs == 0 {
+        if read == clean {
             return match decode_value(op, read, self.tag) {
                 Some(v) => Some(v),
                 None => {
@@ -151,63 +150,16 @@ impl InfiniteMemoTable {
                 }
             };
         }
-
-        let truth = decode_value(op, clean, self.tag);
-        let serve_corrupted = |table: &mut Self, value: u64| match decode_value(op, value, table.tag)
-        {
-            Some(seen) => {
-                if Some(seen) != truth {
-                    table.stats.faults_silent += 1;
-                }
-                Some(seen)
-            }
-            None => {
-                table.stats.bypasses += 1;
-                None
-            }
-        };
-
-        match self.protection {
-            Protection::None => serve_corrupted(self, read),
-            Protection::ParityDetect => {
-                if errs % 2 == 1 {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                } else {
-                    serve_corrupted(self, read)
-                }
-            }
-            Protection::EccSecDed => match errs {
-                1 => {
-                    self.stats.faults_corrected += 1;
-                    self.entries.get_mut(&key).expect("checked above").value = clean;
-                    match decode_value(op, clean, self.tag) {
-                        Some(v) => Some(v),
-                        None => {
-                            self.stats.bypasses += 1;
-                            None
-                        }
-                    }
-                }
-                2 => {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                }
-                _ => serve_corrupted(self, read),
-            },
-            Protection::VerifyOnHit { .. } => {
-                let seen = decode_value(op, read, self.tag);
-                if seen.is_some() && seen == truth {
-                    seen
-                } else {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                }
+        let (value, repair) =
+            read_checked(self.protection, op, self.tag, read, clean, &mut self.stats);
+        match repair {
+            Repair::Keep => {}
+            Repair::Restore => self.entries.get_mut(&key).expect("checked above").value = clean,
+            Repair::Invalidate => {
+                self.entries.remove(&key);
             }
         }
+        value
     }
 }
 

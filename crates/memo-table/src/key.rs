@@ -152,8 +152,8 @@ pub fn set_index(op: &Op, sets: usize, scheme: HashScheme) -> usize {
 
 /// How a precomputed [`SetSel`] word maps to a set index for a given set
 /// count: the paper's two XOR forms plus the multiplicative mixer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SetForm {
+#[derive(Debug, Clone, Copy)]
+enum SetForm {
     /// Integer PaperXor: low-bit mask of the XORed operands.
     IntLow,
     /// Floating-point PaperXor: top fraction bits of the XORed mantissas.
@@ -162,46 +162,32 @@ pub(crate) enum SetForm {
     Mix,
 }
 
-/// The mixing form [`set_index`] uses for `kind` under `scheme`.
-pub(crate) fn set_form(kind: OpKind, scheme: HashScheme) -> SetForm {
-    match scheme {
-        HashScheme::PaperXor => {
-            if kind == OpKind::IntMul {
-                SetForm::IntLow
-            } else {
-                SetForm::FpHigh
-            }
-        }
-        HashScheme::FoldMix => SetForm::Mix,
-    }
-}
-
 /// A set selection with the operand mixing hoisted: [`set_index`] re-mixes
 /// the operands for every distinct set count, but the XOR/multiply half is
 /// independent of the count — only the final shift/mask depends on it. A
 /// `SetSel` carries the mixed word so a multi-level consumer (the stack
 /// sweep walks one level per distinct set count) pays the mixing once per
-/// operation, and the batched front ends can fill the words lane-parallel
-/// ([`fill_set_words`]).
+/// operation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SetSel {
-    pub(crate) word: u64,
-    pub(crate) form: SetForm,
+    word: u64,
+    form: SetForm,
 }
 
 impl SetSel {
     /// Mix `op`'s operands once; [`SetSel::set`] then serves any set count.
     pub(crate) fn of(op: &Op, scheme: HashScheme) -> SetSel {
-        let form = set_form(op.kind(), scheme);
-        let word = match scheme {
+        let (word, form) = match scheme {
             HashScheme::PaperXor => match *op {
-                Op::IntMul(a, b) => a as u64 ^ b as u64,
-                Op::FpMul(a, b) | Op::FpDiv(a, b) => (a.to_bits() ^ b.to_bits()) & FRAC_MASK,
-                Op::FpSqrt(a) => a.to_bits() & FRAC_MASK,
+                Op::IntMul(a, b) => (a as u64 ^ b as u64, SetForm::IntLow),
+                Op::FpMul(a, b) | Op::FpDiv(a, b) => {
+                    ((a.to_bits() ^ b.to_bits()) & FRAC_MASK, SetForm::FpHigh)
+                }
+                Op::FpSqrt(a) => (a.to_bits() & FRAC_MASK, SetForm::FpHigh),
             },
             HashScheme::FoldMix => {
                 let (a, b) = op.operand_bits();
-                (a ^ b.rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ((a ^ b.rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15), SetForm::Mix)
             }
         };
         SetSel { word, form }
@@ -222,50 +208,6 @@ impl SetSel {
             SetForm::IntLow => (self.word & mask) as usize,
             SetForm::FpHigh => ((self.word >> (FRAC_BITS - n)) & mask) as usize,
             SetForm::Mix => (self.word >> (64 - n)) as usize,
-        }
-    }
-}
-
-/// Column form of [`SetSel::of`]: mix every lane's operands into `out`.
-/// The per-lane form is uniform ([`set_form`]).
-pub(crate) fn fill_set_words(
-    kind: OpKind,
-    scheme: HashScheme,
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-) {
-    let n = a.len();
-    match scheme {
-        HashScheme::PaperXor => match kind {
-            OpKind::IntMul => {
-                for i in 0..n {
-                    out[i] = a[i] ^ b[i];
-                }
-            }
-            OpKind::FpMul | OpKind::FpDiv => {
-                for i in 0..n {
-                    out[i] = (a[i] ^ b[i]) & FRAC_MASK;
-                }
-            }
-            OpKind::FpSqrt => {
-                for i in 0..n {
-                    out[i] = a[i] & FRAC_MASK;
-                }
-            }
-        },
-        HashScheme::FoldMix => {
-            if kind == OpKind::FpSqrt {
-                for i in 0..n {
-                    out[i] =
-                        (a[i] ^ a[i].rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                }
-            } else {
-                for i in 0..n {
-                    out[i] =
-                        (a[i] ^ b[i].rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                }
-            }
         }
     }
 }
@@ -888,16 +830,10 @@ mod tests {
     fn hoisted_set_selector_matches_scalar_hash() {
         for kind in OpKind::ALL {
             let (a, b) = soup_columns(kind);
-            let n = a.len();
-            let mut words = vec![0u64; n];
             for scheme in [HashScheme::PaperXor, HashScheme::FoldMix] {
-                fill_set_words(kind, scheme, &a, &b, &mut words);
-                let form = set_form(kind, scheme);
-                for i in 0..n {
-                    let op = lane_op(kind, a[i], *b.get(i).unwrap_or(&0));
+                for (i, &ai) in a.iter().enumerate() {
+                    let op = lane_op(kind, ai, *b.get(i).unwrap_or(&0));
                     let sel = SetSel::of(&op, scheme);
-                    assert_eq!(sel.word, words[i], "{op} mix word under {scheme:?}");
-                    assert_eq!(sel.form, form);
                     for sets in [1usize, 2, 8, 64, 1024] {
                         assert_eq!(
                             sel.set(sets),

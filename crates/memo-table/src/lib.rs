@@ -81,7 +81,7 @@ pub use config::{
     Assoc, HashScheme, MemoConfig, MemoConfigBuilder, MemoConfigError, Replacement, TagPolicy,
     TrivialPolicy, STABLE_ENCODED_LEN, STABLE_ENCODING_VERSION,
 };
-pub use fault::{Fault, FaultConfig, FaultInjector, Protection};
+pub use fault::{Check, Fault, FaultConfig, FaultInjector, Protection};
 pub use infinite::InfiniteMemoTable;
 pub use key::{fp_parts, is_normal_or_zero, Key, KeyHashBuilder, KeyHasher};
 pub use op::{Op, OpKind, ParseOpKindError, Value};

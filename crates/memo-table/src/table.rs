@@ -2,7 +2,7 @@
 
 use crate::batch::{compute_bits, BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{HashScheme, MemoConfig, Replacement, TagPolicy, TrivialPolicy};
-use crate::fault::{FaultInjector, Protection};
+use crate::fault::{read_checked, Check, FaultInjector, Protection, Repair};
 use crate::key::{
     decode_value, encode_tag, encode_value, fill_set_indices, fill_swapped_tags, fill_tags,
     set_index, Key,
@@ -348,35 +348,21 @@ impl MemoTable {
         let base = set * ways;
         let slots = &mut self.slots;
 
-        match self.cfg.protection() {
-            Protection::None | Protection::VerifyOnHit { .. } => {}
-            Protection::ParityDetect => {
-                for i in base..base + ways {
-                    if slots.kind[i] != 0
-                        && (slots.tag[i] ^ slots.clean_tag[i]).count_ones() % 2 == 1
-                    {
-                        self.stats.faults_detected += 1;
-                        slots.kind[i] = 0;
-                    }
-                }
+        let protection = self.cfg.protection();
+        for i in base..base + ways {
+            if slots.kind[i] == 0 {
+                continue;
             }
-            Protection::EccSecDed => {
-                for i in base..base + ways {
-                    if slots.kind[i] == 0 {
-                        continue;
-                    }
-                    match (slots.tag[i] ^ slots.clean_tag[i]).count_ones() {
-                        0 => {}
-                        1 => {
-                            slots.tag[i] = slots.clean_tag[i];
-                            self.stats.faults_corrected += 1;
-                        }
-                        _ => {
-                            self.stats.faults_detected += 1;
-                            slots.kind[i] = 0;
-                        }
-                    }
+            match protection.check((slots.tag[i] ^ slots.clean_tag[i]).count_ones()) {
+                Check::Corrected => {
+                    slots.tag[i] = slots.clean_tag[i];
+                    self.stats.faults_corrected += 1;
                 }
+                Check::Detected => {
+                    self.stats.faults_detected += 1;
+                    slots.kind[i] = 0;
+                }
+                Check::Clean | Check::Escaped | Check::Verify => {}
             }
         }
 
@@ -440,69 +426,14 @@ impl MemoTable {
     /// The protection policy's verdict on a matched read `read` that
     /// differs from the entry's clean value `clean`.
     fn read_corrupted(&mut self, op: &Op, slot: usize, read: u64, clean: u64) -> Option<Value> {
-        let tag = self.cfg.tag();
-        let errs = (read ^ clean).count_ones();
-        let truth = decode_value(op, clean, tag);
-        let serve_corrupted = |table: &mut Self, value: u64| match decode_value(op, value, tag) {
-            Some(seen) => {
-                if Some(seen) != truth {
-                    table.stats.faults_silent += 1;
-                }
-                Some(seen)
-            }
-            None => {
-                table.stats.bypasses += 1;
-                None
-            }
-        };
-
-        match self.cfg.protection() {
-            Protection::None => serve_corrupted(self, read),
-            Protection::ParityDetect => {
-                if errs % 2 == 1 {
-                    self.stats.faults_detected += 1;
-                    self.slots.kind[slot] = 0;
-                    None
-                } else {
-                    // An even error count escapes parity.
-                    serve_corrupted(self, read)
-                }
-            }
-            Protection::EccSecDed => match errs {
-                1 => {
-                    self.stats.faults_corrected += 1;
-                    self.slots.value[slot] = clean;
-                    match decode_value(op, clean, tag) {
-                        Some(v) => Some(v),
-                        None => {
-                            self.stats.bypasses += 1;
-                            None
-                        }
-                    }
-                }
-                2 => {
-                    self.stats.faults_detected += 1;
-                    self.slots.kind[slot] = 0;
-                    None
-                }
-                // Three or more flips exceed SEC-DED's guarantee: treat as
-                // an (undetected) miscorrection and serve the raw read.
-                _ => serve_corrupted(self, read),
-            },
-            Protection::VerifyOnHit { .. } => {
-                // The conventional unit recomputes; any served mismatch is
-                // caught. Corruption invisible in the decoded value (unused
-                // stored bits) passes verification legitimately.
-                let seen = decode_value(op, read, tag);
-                if seen.is_some() && seen == truth {
-                    seen
-                } else {
-                    self.stats.faults_detected += 1;
-                    self.slots.kind[slot] = 0;
-                    None
-                }
-            }
+        let (value, repair) =
+            read_checked(self.cfg.protection(), op, self.cfg.tag(), read, clean, &mut self.stats);
+        match repair {
+            Repair::Keep => {}
+            Repair::Restore => self.slots.value[slot] = clean,
+            Repair::Invalidate => self.slots.kind[slot] = 0,
         }
+        value
     }
 
     /// Probe for `op` with its tag and set already derived. Returns the

@@ -11,7 +11,7 @@
 
 use memo_table::rng::SplitMix64;
 use memo_table::{
-    Assoc, BatchOutcome, HashScheme, InfiniteMemoTable, MemoConfig, MemoStats, MemoTable, Memoizer, OpBatch, OpKind, Outcome, Protection, Replacement, StackSimulator, SweepGrid, TagPolicy,
+    Assoc, BatchOutcome, HashScheme, InfiniteMemoTable, MemoConfig, MemoStats, MemoTable, Memoizer, OpBatch, OpKind, Outcome, Protection, Replacement, TagPolicy,
     TrivialPolicy,
 };
 
@@ -21,7 +21,7 @@ use memo_table::{
 /// * **reuse** — earlier pairs are replayed so hits occur at every depth;
 /// * **orientation** — replayed commutative pairs are emitted in *swapped*
 ///   order about half the time, exercising the second-probe / canonical-key
-///   logic and the orientation bit kept by the stack simulator;
+///   logic;
 /// * **trivial operands** — 0 / ±0 / 1 at a healthy rate;
 /// * **mantissa-hostile values** — NaN, infinities, subnormals, negative
 ///   sqrt inputs, and magnitudes that overflow the mantissa-only
@@ -251,66 +251,6 @@ fn infinite_table_batched_equals_scalar() {
                         assert_equivalent(make(), make(), kind, &a, &b, &label);
                     }
                 }
-            }
-        }
-    }
-}
-
-/// The fused stack-distance sweep: `access_batch` must produce the exact
-/// per-configuration stats `access` does, across the whole grid plus the
-/// infinite column, for both tag policies (the mantissa path can poison
-/// exactness mid-stream — the batched path must stop at the same op).
-#[test]
-fn stack_simulator_batched_equals_scalar() {
-    let assocs = [Assoc::DirectMapped, Assoc::Ways(2), Assoc::Ways(4), Assoc::Full];
-    for kind in OpKind::ALL {
-        let (a, b) = stream(kind, 0x1998_0004, 480);
-        let batch = OpBatch::new(kind, &a, &b);
-        for tag in [TagPolicy::FullValue, TagPolicy::MantissaOnly] {
-            for commutative in [false, true] {
-                let configs: Vec<MemoConfig> = [8usize, 32, 128]
-                    .iter()
-                    .flat_map(|&entries| {
-                        assocs.iter().map(move |&assoc| {
-                            MemoConfig::builder(entries)
-                                .assoc(assoc)
-                                .tag(tag)
-                                .commutative(commutative)
-                                .build()
-                                .expect("valid config")
-                        })
-                    })
-                    .collect();
-                // The infinite column is only exact for the policies the
-                // reference table models (FullValue, commutative).
-                let include_infinite = tag == TagPolicy::FullValue && commutative;
-                let grid = SweepGrid::new(&configs, include_infinite).expect("valid grid");
-
-                let mut scalar = StackSimulator::new(&grid);
-                for i in 0..batch.len() {
-                    scalar.access(batch.op(i));
-                }
-                let mut batched = StackSimulator::new(&grid);
-                const WIDTHS: [usize; 6] = [3, 64, 1, 17, 64, 9];
-                let mut start = 0;
-                let mut wi = 0;
-                while start < batch.len() {
-                    let w = WIDTHS[wi % WIDTHS.len()].min(batch.len() - start);
-                    batched.access_batch(&batch.slice(start, w));
-                    start += w;
-                    wi += 1;
-                }
-
-                let want = scalar.finish();
-                let got = batched.finish();
-                let label =
-                    format!("sweep {} tag={tag:?} commutative={commutative}", kind.label());
-                assert_eq!(got.exact, want.exact, "{label}: exactness flag diverged");
-                assert_eq!(
-                    got.finite, want.finite,
-                    "{label}: finite grid stats diverged"
-                );
-                assert_eq!(got.infinite, want.infinite, "{label}: infinite column diverged");
             }
         }
     }
